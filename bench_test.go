@@ -607,7 +607,7 @@ func BenchmarkSection6MitigationFlavors(b *testing.B) {
 			b.Fatal("trap flavor emulated nothing")
 		}
 		trapWall = float64(res.WallCycles)
-		trapRes = readU64(res.Proc.Mem, 128)
+		trapRes, _ = res.Proc.Mem.Load64(128)
 
 		sites, err := adaptive.ProfileRoundingSites(prog(), 1<<21, 1_000_000)
 		if err != nil {
@@ -625,7 +625,7 @@ func BenchmarkSection6MitigationFlavors(b *testing.B) {
 			b.Fatal("patched run stuck")
 		}
 		patchWall = float64(k.Cycles)
-		patchRes = readU64(p.Mem, 128)
+		patchRes, _ = p.Mem.Load64(128)
 	}
 	if trapRes != patchRes {
 		b.Errorf("flavors disagree: %#x vs %#x", trapRes, patchRes)
@@ -635,14 +635,6 @@ func BenchmarkSection6MitigationFlavors(b *testing.B) {
 	if speedup <= 1.0 {
 		b.Errorf("patching did not win: %.3f", speedup)
 	}
-}
-
-func readU64(mem []byte, off int) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(mem[off+i]) << (8 * i)
-	}
-	return v
 }
 
 // BenchmarkShadowOverhead measures what the shadow-precision channel

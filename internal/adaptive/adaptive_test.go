@@ -31,11 +31,7 @@ func buildNaiveSum(n int64, inc float64) *fpspy.Program {
 }
 
 func sumAt128(res *fpspy.Result) float64 {
-	b := res.Proc.Mem[128 : 128+8]
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
+	v, _ := res.Proc.Mem.Load64(128)
 	return math.Float64frombits(v)
 }
 
@@ -99,11 +95,8 @@ func TestMitigationValueThroughMemoryStaysCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := res.Proc.Mem
-	read := func(off int) float64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(mem[off+i]) << (8 * i)
-		}
+	read := func(off uint64) float64 {
+		v, _ := mem.Load64(off)
 		return math.Float64frombits(v)
 	}
 	third := read(128)
@@ -264,10 +257,7 @@ func TestPatchedMitigatorEmulatesAtSites(t *testing.T) {
 		t.Errorf("emulated = %d, want ~%d", stats.Emulated, n)
 	}
 	// The patched run's result is the correctly rounded 256-bit sum.
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(p.Mem[128+i]) << (8 * i)
-	}
+	v, _ := p.Mem.Load64(128)
 	got := math.Float64frombits(v)
 	exact := float64(n) * 0.1
 	if math.Abs(got-exact) > exact*1e-15 {

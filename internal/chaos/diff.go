@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -93,9 +94,11 @@ func snapshot(k *kernel.Kernel) Snapshot {
 	return snap
 }
 
-func memSum(mem []byte) uint64 {
+// memSum hashes every byte of the memory image, so equal images give
+// equal digests however their pages are laid out.
+func memSum(mem *machine.Memory) uint64 {
 	h := fnv.New64a()
-	h.Write(mem)
+	mem.WriteTo(h)
 	return h.Sum64()
 }
 

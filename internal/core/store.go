@@ -177,15 +177,26 @@ func (s *Store) Records(key ThreadKey) ([]trace.Record, error) {
 	return trace.Decode(s.buffers[key].Bytes())
 }
 
-// AllRecords decodes and concatenates every thread's trace.
+// AllRecords decodes and concatenates every thread's trace into one
+// slice sized up front.
 func (s *Store) AllRecords() ([]trace.Record, error) {
-	var out []trace.Record
-	for _, key := range s.Threads() {
-		recs, err := s.Records(key)
-		if err != nil {
+	keys := s.Threads()
+	total := 0
+	for _, key := range keys {
+		if err := s.writers[key].Flush(); err != nil {
 			return nil, err
 		}
-		out = append(out, recs...)
+		total += s.buffers[key].Len()
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]trace.Record, 0, total/trace.RecordSize)
+	for _, key := range keys {
+		var err error
+		if out, err = trace.AppendDecode(out, s.buffers[key].Bytes()); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

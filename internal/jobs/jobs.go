@@ -28,9 +28,10 @@ var (
 	ErrMemBytes = errors.New("jobs: clone memory request out of range")
 )
 
-// MaxMemBytes bounds the memory request Decode accepts (4 GiB). The
-// simulated machine allocates guest memory eagerly, so an absurd
-// MemBytes from a hostile encoding must be rejected before it reaches
+// MaxMemBytes bounds the memory request Decode accepts (4 GiB). Guest
+// memory is materialised page by page as the guest writes it, but the
+// page table still scales with the declared size, so an absurd MemBytes
+// from a hostile encoding must be rejected before it reaches
 // RunProduction or Replay.
 const MaxMemBytes = 4 << 30
 

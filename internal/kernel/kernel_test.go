@@ -8,6 +8,12 @@ import (
 	"repro/internal/softfloat"
 )
 
+// memU64 reads the guest word at addr in p's memory.
+func memU64(p *Process, addr uint64) uint64 {
+	v, _ := p.Mem.Load64(addr)
+	return v
+}
+
 func spawnAndRun(t *testing.T, prog *isa.Program, env map[string]string, maxSteps uint64) (*Kernel, *Process) {
 	t.Helper()
 	k := New()
@@ -106,8 +112,8 @@ func TestForkDuplicatesMemory(t *testing.T) {
 	if childProc == nil || !childProc.Exited || !p.Exited {
 		t.Fatal("both processes should exit")
 	}
-	pv := uint64(p.Mem[64])
-	cv := uint64(childProc.Mem[64])
+	pv := memU64(p, 64)
+	cv := memU64(childProc, 64)
 	if pv != 1 || cv != 2 {
 		t.Errorf("parent mem 64 = %d (want 1), child = %d (want 2)", pv, cv)
 	}
@@ -140,7 +146,7 @@ func TestGuestSignalHandlerAndSigreturn(t *testing.T) {
 	if cpu.R[isa.R9] != 77 {
 		t.Error("execution did not resume after guest handler")
 	}
-	if p.Mem[512] != 1 {
+	if memU64(p, 512) != 1 {
 		t.Error("guest handler did not run")
 	}
 }
@@ -217,7 +223,7 @@ func TestVirtualTimerDeliversSIGVTALRM(t *testing.T) {
 	b.St(isa.R3, 0, isa.R4)
 	b.CallC("rt_sigreturn")
 	_, p := spawnAndRun(t, b.Build(), nil, 100000)
-	if p.Mem[512] != 1 {
+	if memU64(p, 512) != 1 {
 		t.Error("timer handler never ran")
 	}
 }

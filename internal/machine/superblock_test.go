@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func wideFPProgram() *isa.Program {
 // through RunStraight, returning the observed event sequence.
 func driveFast(t *testing.T, m *Machine) []string {
 	t.Helper()
-	m.CPU.R[isa.SP] = uint64(len(m.Mem))
+	m.CPU.R[isa.SP] = m.Mem.size
 	m.CPU.MXCSR.Unmask(softfloat.FlagInexact)
 	var events []string
 	for i := 0; i < 100000; i++ {
@@ -101,10 +102,8 @@ func TestSuperblockMatchesNoSuperblock(t *testing.T) {
 		if cached.Retired != plain.Retired {
 			t.Errorf("retired: cached %d, plain %d", cached.Retired, plain.Retired)
 		}
-		for i := range cached.Mem {
-			if cached.Mem[i] != plain.Mem[i] {
-				t.Fatalf("memory diverged at %#x", i)
-			}
+		if !bytes.Equal(memImage(cached), memImage(plain)) {
+			t.Fatal("memory diverged")
 		}
 		if len(evA) != len(evB) {
 			t.Fatalf("event counts: cached %d, plain %d", len(evA), len(evB))
@@ -281,7 +280,7 @@ func TestZFormFullWidth(t *testing.T) {
 		if got := m.CPU.X[isa.X1][l]; got != want {
 			t.Errorf("lane %d = %#x, want %#x", l, got, want)
 		}
-		gotMem, _ := m.load64(dst + uint64(l)*8)
+		gotMem, _ := m.Mem.Load64(dst + uint64(l)*8)
 		if gotMem != want {
 			t.Errorf("stored lane %d = %#x, want %#x", l, gotMem, want)
 		}

@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,49 @@ func TestE2ESingleflightAcrossClients(t *testing.T) {
 	}
 	if !outs[0].resp.CacheHit && !outs[1].resp.CacheHit {
 		t.Error("one of the two identical submissions must be a cache hit")
+	}
+}
+
+// TestE2EMaxDeclaredMemoryStaysSparse submits a clone declaring the
+// largest guest memory Decode accepts. The guest touches a handful of
+// pages, including the last word of its 4 GiB, so the pass must settle
+// with heap growth bounded by what it touches, not what it declares.
+func TestE2EMaxDeclaredMemoryStaysSparse(t *testing.T) {
+	_, ts := newDaemon(t, server.Options{Workers: 1})
+	b := fpspy.NewProgram("max-mem")
+	b.Movi(isa.R1, int64(math.Float64bits(1)))
+	b.Movqx(isa.X0, isa.R1)
+	b.Movi(isa.R1, int64(math.Float64bits(3)))
+	b.Movqx(isa.X1, isa.R1)
+	b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
+	for _, addr := range []int64{jobs.MaxMemBytes - 8, jobs.MaxMemBytes / 2, 64} {
+		b.Movi(isa.R3, addr)
+		b.Fst(isa.R3, 0, isa.X2)
+	}
+	b.Hlt()
+	job := jobs.Capture("max-mem", b.Build(), nil, jobs.MaxMemBytes)
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := client.New(ts.URL, "max-mem")
+	resp, err := c.Submit(job, fpspy.Config{Mode: fpspy.ModeIndividual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Result(resp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	if res.Summary.ExitCode != 0 || res.Summary.Records != 1 {
+		t.Errorf("summary %+v, want exit 0 and 1 record", res.Summary)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("submit to settle allocated %.1f MiB", float64(grew)/(1<<20))
+	if grew >= 64<<20 {
+		t.Errorf("pass allocated %d MiB for a guest touching a few pages, want < 64 MiB", grew>>20)
 	}
 }
 

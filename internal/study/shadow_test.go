@@ -49,7 +49,7 @@ func outcomeOf(t *testing.T, name string, prec uint64) runOutcome {
 		traceErr: res.TraceErr != nil,
 	}
 	h := fnv.New64a()
-	h.Write(res.Proc.Mem)
+	res.Proc.Mem.WriteTo(h)
 	out.memSum = h.Sum64()
 	recs, err := res.Store.AllRecords()
 	if err != nil {

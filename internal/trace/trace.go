@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/softfloat"
 )
@@ -115,14 +116,25 @@ func (w *Writer) Flush() error {
 
 // Decode parses a full trace image into records.
 func Decode(data []byte) ([]Record, error) {
-	if len(data)%RecordSize != 0 {
-		return nil, fmt.Errorf("trace: image size %d not a multiple of %d", len(data), RecordSize)
-	}
-	recs := make([]Record, len(data)/RecordSize)
-	for i := range recs {
-		recs[i].Decode(data[i*RecordSize:])
+	recs, err := AppendDecode(make([]Record, 0, len(data)/RecordSize), data)
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
+}
+
+// AppendDecode parses a full trace image and appends its records to
+// dst, returning dst unchanged on a malformed image.
+func AppendDecode(dst []Record, data []byte) ([]Record, error) {
+	if len(data)%RecordSize != 0 {
+		return dst, fmt.Errorf("trace: image size %d not a multiple of %d", len(data), RecordSize)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(data)/RecordSize)[:n+len(data)/RecordSize]
+	for i := range dst[n:] {
+		dst[n+i].Decode(data[i*RecordSize:])
+	}
+	return dst, nil
 }
 
 // Render writes the human-readable form of a record, as produced by the

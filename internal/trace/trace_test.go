@@ -63,6 +63,24 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	}
 }
 
+func TestAppendDecodeKeepsPrefix(t *testing.T) {
+	var img [2 * RecordSize]byte
+	(&Record{Seq: 1}).Encode(img[:])
+	(&Record{Seq: 2}).Encode(img[RecordSize:])
+	dst := []Record{{Seq: 0}}
+	dst, err := AppendDecode(dst, img[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 3 || dst[0].Seq != 0 || dst[1].Seq != 1 || dst[2].Seq != 2 {
+		t.Fatalf("AppendDecode = %+v", dst)
+	}
+	got, err := AppendDecode(dst, img[:RecordSize+1])
+	if err == nil || len(got) != 3 {
+		t.Errorf("truncated image: len %d, err %v; want dst unchanged and an error", len(got), err)
+	}
+}
+
 func TestAggregateString(t *testing.T) {
 	a := Aggregate{PID: 10, TID: 20, Flags: softfloat.FlagInexact | softfloat.FlagInvalid, Instructions: 5}
 	s := a.String()

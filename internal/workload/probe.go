@@ -36,7 +36,9 @@ package workload
 // the suite's negative control.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/analysis"
@@ -450,19 +452,15 @@ func BuildProbe(spec ProbeSpec) (*Probe, error) {
 }
 
 // ProbeOut decodes the memory-channel f-matrix from a finished guest's
-// flat memory image: the out[] array of per-trial final sums.
-func ProbeOut(mem []byte, outAddr uint64, trials int) ([]float64, error) {
-	end := outAddr + uint64(trials)*8
-	if end > uint64(len(mem)) {
-		return nil, fmt.Errorf("probe: out array [%#x,%#x) outside %d-byte memory", outAddr, end, len(mem))
+// memory image: the out[] array of per-trial final sums.
+func ProbeOut(mem io.ReaderAt, outAddr uint64, trials int) ([]float64, error) {
+	buf := make([]byte, 8*trials)
+	if _, err := mem.ReadAt(buf, int64(outAddr)); err != nil {
+		return nil, fmt.Errorf("probe: out array [%#x,%#x): %w", outAddr, outAddr+uint64(len(buf)), err)
 	}
 	out := make([]float64, trials)
 	for t := range out {
-		var bits uint64
-		for i := 0; i < 8; i++ {
-			bits |= uint64(mem[outAddr+uint64(8*t+i)]) << (8 * i)
-		}
-		out[t] = math.Float64frombits(bits)
+		out[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*t:]))
 	}
 	return out, nil
 }
