@@ -245,15 +245,15 @@ func watch(args []string) {
 	}
 }
 
-// rootcause submits a clone as a shadow job (POST /v1/shadowjobs),
-// waits for the pass, and renders the ranked per-site attribution the
-// result stream carries.
+// rootcause submits a clone as a shadow job (POST /v1/jobs with
+// config.ShadowPrec set), waits for the pass, and renders the ranked
+// per-site attribution the result stream carries.
 func rootcause(args []string) {
 	fs := flag.NewFlagSet("rootcause", flag.ExitOnError)
 	srv, cid := clientFlags(fs)
 	jobFile := fs.String("job", "", "clone file from fpctl capture (required)")
 	name := fs.String("name", "", "override the submission name")
-	prec := fs.Uint64("prec", 0, "shadow precision in mantissa bits (0 = server default)")
+	prec := fs.Uint64("prec", core.DefaultShadowPrec, "shadow precision in mantissa bits")
 	top := fs.Int("top", 10, "sites to print (0 = all)")
 	interval := fs.Duration("interval", 200*time.Millisecond, "poll interval")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -266,7 +266,7 @@ func rootcause(args []string) {
 		fatal(err)
 	}
 	c := client.New(*srv, *cid)
-	resp, err := c.SubmitShadowBlobContext(context.Background(), *name, blob, core.Config{}, *prec)
+	resp, err := c.SubmitBlobContext(context.Background(), *name, blob, core.Config{ShadowPrec: *prec})
 	if err != nil {
 		fatal(err)
 	}

@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/study"
 	"repro/internal/workload"
@@ -53,7 +54,7 @@ func main() {
 	probeOut := flag.String("probeout", "", "write the probe fingerprint corpus as JSON (with -probe)")
 	probeTraces := flag.String("probetraces", "", "directory for one representative .fpemon trace per probe kernel (with -probe)")
 	shadow := flag.Bool("shadow", false, "run the shadow-precision root-cause study instead of the figures")
-	shadowPrec := flag.Uint64("shadowprec", study.DefaultShadowPrec, "shadow precision in mantissa bits (with -shadow)")
+	shadowPrec := flag.Uint64("shadowprec", core.DefaultShadowPrec, "shadow precision in mantissa bits (with -shadow)")
 	shadowOnly := flag.String("shadowonly", "", "comma-separated workloads to shadow (with -shadow; empty = all corpus apps)")
 	shadowOut := flag.String("shadowout", "", "write the shadow report as JSON (with -shadow)")
 	mitPrec := flag.Uint("mitprec", 0, "add an adaptive-precision mitigated leg at this precision (with -shadow)")

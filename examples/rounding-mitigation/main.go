@@ -1,9 +1,10 @@
 // Rounding mitigation: the paper's Section 6 prospect, made concrete.
 // First, FPSpy traces establish the locality of rounding instructions
-// (few sites, few forms); then the trap-and-emulate prototype executes a
+// (few sites, few forms); then a shadow-precision run re-executes a
 // guest kernel against an arbitrary-precision software FPU (math/big in
-// place of MPFR) and reports how much accuracy higher precision
-// recovers.
+// place of MPFR) and reports how much rounding error the hardware
+// accumulated; finally the trap-and-emulate mitigator writes the
+// higher-precision results back.
 package main
 
 import (
@@ -13,8 +14,6 @@ import (
 	fpspy "repro"
 	"repro/internal/analysis"
 	"repro/internal/isa"
-	"repro/internal/machine"
-	"repro/internal/mitigate"
 	"repro/internal/workload"
 )
 
@@ -56,24 +55,29 @@ func main() {
 	recs := res.MustRecords()
 	byAddr := analysis.RankByAddress(recs)
 	byForm := analysis.RankByForm(recs)
-	rep := mitigate.Feasibility(byAddr, byForm, 50_000, 150, 4_000)
+	rep := analysis.Feasibility(byAddr, byForm, 50_000, 150, 4_000)
 	fmt.Printf("moose rounding locality: %d sites (%d cover 99%%), %d forms (%d cover 99%%)\n",
 		rep.Sites, rep.Sites99, rep.Forms, rep.Forms99)
 	fmt.Printf("mitigation cost: %.0f cycles/event patched vs %.0f trapped — patch wins: %v\n\n",
 		rep.PatchCyclesPerEvent, rep.TrapCyclesPerEvent, rep.PatchWins)
 
-	// Step 2 — trap-and-emulate execution at increasing precision.
+	// Step 2 — shadow execution at increasing precision.
 	const n = 100_000
 	exact := float64(n) * 0.1
-	for _, prec := range []uint{53, 113, 256} {
-		m := machine.New(buildNaiveSum(n), 4096)
-		sh := mitigate.NewShadowExecutor(m, prec)
-		if ev := sh.Run(10_000_000); ev == nil {
-			panic("did not halt")
+	read := func(r *fpspy.Result) float64 {
+		v, _ := r.Proc.Mem.Load64(128)
+		return math.Float64frombits(v)
+	}
+	for _, prec := range []uint64{53, 113, 256} {
+		sh, err := fpspy.Run(buildNaiveSum(n), fpspy.Options{
+			Config: fpspy.Config{Mode: fpspy.ModeAggregate, ShadowPrec: prec},
+		})
+		if err != nil {
+			panic(err)
 		}
-		hw := math.Float64frombits(m.CPU.X[isa.X0][0])
+		rc := sh.RootCause(prec)
 		fmt.Printf("precision %3d bits: hardware err %.3e, hw-vs-shadow divergence %d ulps (%d ops emulated)\n",
-			prec, math.Abs(hw-exact)/exact, sh.MaxUlps(), sh.Emulated())
+			prec, math.Abs(read(sh)-exact)/exact, rc.MaxUlps, rc.TotalOps)
 	}
 	fmt.Println("\nhigher shadow precision exposes exactly the rounding error the")
 	fmt.Println("hardware accumulates; at 53 bits the shadow reproduces it bit-for-bit.")
@@ -90,10 +94,6 @@ func main() {
 	mitigated, stats, err := fpspy.RunMitigated(buildNaiveSum(n), 256, fpspy.Options{})
 	if err != nil {
 		panic(err)
-	}
-	read := func(r *fpspy.Result) float64 {
-		v, _ := r.Proc.Mem.Load64(128)
-		return math.Float64frombits(v)
 	}
 	fmt.Printf("trap-and-emulate under LD_PRELOAD (naive %d-term sum of 0.1):\n", n)
 	fmt.Printf("  plain hardware result: %.15f (err %.3e)\n", read(plain), math.Abs(read(plain)-exact))

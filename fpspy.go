@@ -176,6 +176,29 @@ type Result struct {
 // Run executes prog to completion under the simulated kernel, with FPSpy
 // attached via LD_PRELOAD unless opts.NoSpy is set.
 func Run(prog *Program, opts Options) (*Result, error) {
+	store := opts.Store
+	if store == nil {
+		store = core.NewStore()
+	}
+	var pre *preload
+	if !opts.NoSpy {
+		pre = &preload{core.PreloadName, core.FactoryObs(store, opts.Obs), opts.Config.EnvVars()}
+	}
+	return run(prog, opts, store, pre)
+}
+
+// preload is the object a run puts in LD_PRELOAD, with the environment
+// variables that load and configure it.
+type preload struct {
+	name    string
+	factory kernel.ObjectFactory
+	env     map[string]string
+}
+
+// run is the one spawn path behind Run and RunMitigated: it applies the
+// Options defaults and every Options field, registers pre (none when
+// nil; its variables override opts.Env), and runs prog to completion.
+func run(prog *Program, opts Options, store *Store, pre *preload) (*Result, error) {
 	if opts.MemBytes == 0 {
 		opts.MemBytes = 16 << 20
 	}
@@ -189,17 +212,13 @@ func Run(prog *Program, opts Options) (*Result, error) {
 	k.NoFastPath = opts.NoFastPath
 	k.Inject = opts.Inject
 	k.Obs = opts.Obs
-	store := opts.Store
-	if store == nil {
-		store = core.NewStore()
-	}
 	env := map[string]string{}
 	for key, v := range opts.Env {
 		env[key] = v
 	}
-	if !opts.NoSpy {
-		k.RegisterPreload(core.PreloadName, core.FactoryObs(store, opts.Obs))
-		for key, v := range opts.Config.EnvVars() {
+	if pre != nil {
+		k.RegisterPreload(pre.name, pre.factory)
+		for key, v := range pre.env {
 			env[key] = v
 		}
 	}
@@ -244,43 +263,16 @@ type MitigationStats = adaptive.Stats
 // object in LD_PRELOAD instead of FPSpy: scalar binary64 rounding
 // instructions are trap-and-emulated against a software FPU of the
 // given mantissa precision, with results written back through the
-// signal context.
+// signal context. Every Options field applies as in Run except Config,
+// NoSpy and Store: FPSpy is not loaded, so the result's store is empty.
 func RunMitigated(prog *Program, prec uint, opts Options) (*Result, *MitigationStats, error) {
-	if opts.MemBytes == 0 {
-		opts.MemBytes = 16 << 20
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 500_000_000
-	}
-	k := kernel.New()
-	if opts.CostModel != nil {
-		k.Cost = *opts.CostModel
-	}
 	stats := &MitigationStats{}
-	k.RegisterPreload(adaptive.PreloadName, adaptive.Factory(prec, stats))
-	env := map[string]string{"LD_PRELOAD": adaptive.PreloadName}
-	for key, v := range opts.Env {
-		env[key] = v
-	}
-	p, err := k.Spawn(prog, opts.MemBytes, env)
+	res, err := run(prog, opts, core.NewStore(), &preload{adaptive.PreloadName,
+		adaptive.Factory(prec, stats), map[string]string{"LD_PRELOAD": adaptive.PreloadName}})
 	if err != nil {
 		return nil, nil, err
 	}
-	steps := k.Run(opts.MaxSteps)
-	if !p.Exited {
-		return nil, nil, fmt.Errorf("fpspy: %s did not finish within %d steps", prog.Name, opts.MaxSteps)
-	}
-	user, sys := p.ProcessTimes()
-	return &Result{
-		Store:      core.NewStore(),
-		Steps:      steps,
-		UserCycles: user,
-		SysCycles:  sys,
-		WallCycles: k.Cycles,
-		ExitCode:   p.ExitCode,
-		Kern:       k,
-		Proc:       p,
-	}, stats, nil
+	return res, stats, nil
 }
 
 // Aggregates returns the aggregate-mode records.

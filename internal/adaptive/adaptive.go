@@ -5,26 +5,29 @@
 // that unmasks floating point exceptions; unlike FPSpy, when a rounding
 // (Inexact) trap arrives it does not merely log and single-step — it
 // *emulates* the faulting instruction against an arbitrary-precision
-// software FPU (math/big.Float standing in for MPFR), writes the
-// correctly-rounded result back through the signal context, and advances
-// the instruction pointer past the instruction. The hardware never
-// executes the rounding operation at all.
+// software FPU (the shadow evaluator of internal/shadow, math/big.Float
+// standing in for MPFR), writes the result back through the signal
+// context, and advances the instruction pointer past the instruction.
+// The hardware never executes the rounding operation at all.
 //
 // Shadow state is tracked per register and validated by value: a shadow
 // is used only while its binary64 rounding still equals the live
 // register contents, so values that travel through memory or are
 // overwritten by unobserved instructions safely fall back to their
-// hardware precision. Instructions the emulator does not model fall back
+// hardware precision. Instructions the evaluator does not model, and
+// every instruction retired under a non-default FP environment
+// (directed rounding, FTZ or DAZ — the shadow channel's gate), fall back
 // to FPSpy's mask-and-single-step protocol, so the application always
-// makes progress.
+// makes progress with exactly the hardware's result.
 package adaptive
 
 import (
-	"math"
 	"math/big"
 
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/machine"
+	"repro/internal/shadow"
 	"repro/internal/softfloat"
 )
 
@@ -52,8 +55,21 @@ type shadowVal struct {
 }
 
 type threadState struct {
-	regs     [isa.NumVecRegs]*shadowVal
+	regs     [isa.NumVecRegs]shadowVal
 	stepping bool // single-step fallback in flight
+}
+
+// shadowOf returns the validated shadow of register r's lane 0, or nil
+// when there is none (the evaluator then uses the hardware value). A
+// stale shadow is dropped for good: once the register has been
+// overwritten unobserved, the value it later holds is the hardware's,
+// even if its bits happen to match again.
+func (ts *threadState) shadowOf(cpu *machine.CPU, r uint8) *big.Float {
+	s := &ts.regs[r]
+	if s.v != nil && s.bits != cpu.X[r][0] {
+		*s = shadowVal{}
+	}
+	return s.v
 }
 
 // Mitigator is one process's adaptive-precision instance.
@@ -102,141 +118,40 @@ func (m *Mitigator) wrapThreadCreate(k *kernel.Kernel, t *kernel.Task) {
 	}
 }
 
-// shadowOf returns the validated shadow of a register's lane 0, deriving
-// a fresh one from the hardware value when absent or stale.
-func (m *Mitigator) shadowOf(ts *threadState, t *kernel.Task, r uint8) *big.Float {
-	cur := t.M.CPU.X[r][0]
-	if s := ts.regs[r]; s != nil && s.bits == cur {
-		return s.v
-	}
-	v := new(big.Float).SetPrec(m.prec).SetFloat64(math.Float64frombits(cur))
-	ts.regs[r] = &shadowVal{v: v, bits: cur}
-	return v
-}
-
-// writeBack installs an emulated result: the shadow keeps full
-// precision, the architectural register gets its binary64 rounding.
-func (m *Mitigator) writeBack(ts *threadState, t *kernel.Task, r uint8, v *big.Float) uint64 {
-	f, _ := v.Float64()
-	bits := math.Float64bits(f)
-	t.M.CPU.X[r][0] = bits
-	ts.regs[r] = &shadowVal{v: v, bits: bits}
-	return bits
-}
-
-// emulate attempts software execution of the faulting instruction.
-// It returns false when the instruction is outside the emulator's
-// repertoire.
+// emulate attempts software execution of the faulting instruction. It
+// returns false when shadow.Emulate64 declines it (a form outside the
+// evaluator's repertoire, a non-default FP environment, or a non-finite
+// result).
 func (m *Mitigator) emulate(ts *threadState, t *kernel.Task, inst *isa.Inst) bool {
 	info := inst.Op.Info()
 	cpu := &t.M.CPU
-	z := new(big.Float).SetPrec(m.prec)
+	var nat [3]uint64
+	var sh [3]*big.Float
 	switch info.Class {
-	case isa.ClassFPArith:
-		if info.Prec != isa.F64 || info.Lanes != 1 {
-			return false
-		}
-		a := m.shadowOf(ts, t, inst.Rs1)
-		b := m.shadowOf(ts, t, inst.Rs2)
-		switch info.FP {
-		case isa.FPAdd:
-			z.Add(a, b)
-		case isa.FPSub:
-			z.Sub(a, b)
-		case isa.FPMul:
-			z.Mul(a, b)
-		case isa.FPDiv:
-			if b.Sign() == 0 {
-				return false
-			}
-			z.Quo(a, b)
-		case isa.FPSqrt:
-			if a.Sign() < 0 {
-				return false
-			}
-			z.Sqrt(a)
-		default:
-			return false
-		}
-	case isa.ClassFMA:
-		if info.Prec != isa.F64 || info.Lanes != 1 {
-			return false
-		}
-		a := m.shadowOf(ts, t, inst.Rs1)
-		b := m.shadowOf(ts, t, inst.Rs2)
-		c := m.shadowOf(ts, t, inst.Rs3)
-		z.Mul(a, b)
-		switch info.FMA {
-		case isa.FMAdd:
-			z.Add(z, c)
-		case isa.FMSub:
-			z.Sub(z, c)
-		case isa.FNMAdd:
-			z.Neg(z)
-			z.Add(z, c)
-		case isa.FNMSub:
-			z.Neg(z)
-			z.Sub(z, c)
-		}
 	case isa.ClassFPConvert:
-		if info.Cvt != isa.CvtSI2SDQ {
-			return false
+		nat[0] = cpu.R[inst.Rs1] // int-to-float: an integer operand
+	case isa.ClassFPArith, isa.ClassFMA:
+		for i, r := range [...]uint8{inst.Rs1, inst.Rs2, inst.Rs3} {
+			if i < 2 || info.Class == isa.ClassFMA {
+				nat[i], sh[i] = cpu.X[r][0], ts.shadowOf(cpu, r)
+			}
 		}
-		z.SetInt64(int64(cpu.R[inst.Rs1]))
-	default:
+	}
+	v, bits, hw, ok := shadow.Emulate64(info, cpu.MXCSR.Env(), nat, sh, m.prec)
+	if !ok {
 		return false
 	}
-
-	// What would the hardware have produced? (For the Improved stat.)
-	hwWouldBe := m.hardwareResult(t, inst)
-	got := m.writeBack(ts, t, inst.Rd, z)
+	// The shadow keeps full precision, the architectural register gets
+	// its binary64 rounding.
+	cpu.X[inst.Rd][0] = bits
+	ts.regs[inst.Rd] = shadowVal{v: v, bits: bits}
 	m.stats.Emulated++
-	if got != hwWouldBe {
+	if bits != hw {
 		m.stats.Improved++
 	}
 	// The instruction is fully emulated: skip it.
 	cpu.RIP += isa.InstBytes
 	return true
-}
-
-// hardwareResult computes the result the hardware FPU would have written
-// for a supported scalar f64 instruction.
-func (m *Mitigator) hardwareResult(t *kernel.Task, inst *isa.Inst) uint64 {
-	info := inst.Op.Info()
-	cpu := &t.M.CPU
-	env := cpu.MXCSR.Env()
-	a := cpu.X[inst.Rs1][0]
-	b := cpu.X[inst.Rs2][0]
-	switch info.Class {
-	case isa.ClassFPArith:
-		switch info.FP {
-		case isa.FPAdd:
-			z, _ := softfloat.Add64(a, b, env)
-			return z
-		case isa.FPSub:
-			z, _ := softfloat.Sub64(a, b, env)
-			return z
-		case isa.FPMul:
-			z, _ := softfloat.Mul64(a, b, env)
-			return z
-		case isa.FPDiv:
-			z, _ := softfloat.Div64(a, b, env)
-			return z
-		case isa.FPSqrt:
-			z, _ := softfloat.Sqrt64(a, env)
-			return z
-		}
-	case isa.ClassFMA:
-		c := cpu.X[inst.Rs3][0]
-		if info.FMA == isa.FMAdd {
-			z, _ := softfloat.FMA64(a, b, c, env)
-			return z
-		}
-	case isa.ClassFPConvert:
-		z, _ := softfloat.I64ToF64(int64(cpu.R[inst.Rs1]), env)
-		return z
-	}
-	return 0
 }
 
 // onSIGFPE handles a rounding trap: emulate if possible, otherwise fall

@@ -1,6 +1,8 @@
 package adaptive_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +10,8 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/mxcsr"
+	"repro/internal/softfloat"
 	"repro/internal/workload"
 )
 
@@ -67,6 +71,138 @@ func TestMitigatedSummationIsMoreAccurate(t *testing.T) {
 	}
 	t.Logf("plain err %.3e, mitigated err %.3e, emulated %d improved %d fallbacks %d",
 		plainErr, mitErr, stats.Emulated, stats.Improved, stats.Fallbacks)
+}
+
+// memImage returns a run's whole guest memory.
+func memImage(t *testing.T, res *fpspy.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := res.Proc.Mem.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// mitigateLikeNoSpy runs a guest natively and under the mitigator at
+// prec, requires bit-identical guest memory, and returns the
+// mitigator's stats.
+func mitigateLikeNoSpy(t *testing.T, build func() *fpspy.Program, prec uint) *fpspy.MitigationStats {
+	t.Helper()
+	opts := fpspy.Options{MemBytes: 1 << 21}
+	mitigated, stats, err := fpspy.RunMitigated(build(), prec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoSpy = true
+	plain, err := fpspy.Run(build(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(memImage(t, mitigated), memImage(t, plain)) {
+		got, _ := mitigated.Proc.Mem.Load64(128)
+		want, _ := plain.Proc.Mem.Load64(128)
+		t.Errorf("guest memory differs from the no-spy run: result %#x, hardware %#x", got, want)
+	}
+	return stats
+}
+
+// buildFMA computes op(a, b, c) with a fused multiply-add form and
+// stores the result at 128.
+func buildFMA(op isa.Opcode, a, b, c float64) func() *fpspy.Program {
+	return func() *fpspy.Program {
+		p := fpspy.NewProgram("fma")
+		for i, v := range []float64{a, b, c} {
+			p.Movi(isa.R6, int64(math.Float64bits(v)))
+			p.Movqx(isa.X0+i, isa.R6)
+		}
+		p.FMA(op, isa.X3, isa.X0, isa.X1, isa.X2)
+		p.Movi(isa.R10, 128)
+		p.Fst(isa.R10, 0, isa.X3)
+		p.Hlt()
+		return p.Build()
+	}
+}
+
+// TestMitigationAt53MatchesHardware pins the software FPU to the
+// hardware: at 53 bits in the default environment, every emulated
+// result is the one the hardware writes, FMA forms included (one
+// rounding of the fused result, not a rounded product), and none
+// counts as improved.
+func TestMitigationAt53MatchesHardware(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *fpspy.Program
+	}{
+		{"naive-sum", func() *fpspy.Program { return buildNaiveSum(1000, 0.1) }},
+		{"vfmaddsd", buildFMA(isa.OpVFMADDSD, 1.6046602879796197, 1.9405090880450124, -3.1138578725617956)},
+		{"vfnmsubsd", buildFMA(isa.OpVFNMSUBSD, 0.1, 3, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats := mitigateLikeNoSpy(t, tc.build, 53)
+			if stats.Emulated == 0 {
+				t.Error("nothing emulated")
+			}
+			if stats.Improved != 0 {
+				t.Errorf("improved = %d at 53 bits, want 0", stats.Improved)
+			}
+		})
+	}
+}
+
+// buildTenthIn computes 1.0/10.0 after setup (which changes the FP
+// environment) and stores the result at 128.
+func buildTenthIn(setup func(b *fpspy.Builder)) func() *fpspy.Program {
+	return func() *fpspy.Program {
+		b := fpspy.NewProgram("tenth")
+		setup(b)
+		b.Movi(isa.R6, int64(math.Float64bits(1)))
+		b.Movqx(isa.X0, isa.R6)
+		b.Movi(isa.R6, int64(math.Float64bits(10)))
+		b.Movqx(isa.X1, isa.R6)
+		b.FP2(isa.OpDIVSD, isa.X2, isa.X0, isa.X1)
+		b.Movi(isa.R10, 128)
+		b.Fst(isa.R10, 0, isa.X2)
+		b.Hlt()
+		return b.Build()
+	}
+}
+
+// TestMitigationHonoursGuestEnvironment: a rounding instruction retired
+// under directed rounding, FTZ or DAZ is not emulated (the software FPU
+// models round-to-nearest only) but single-stepped, so the guest gets
+// exactly the hardware's result at any precision.
+func TestMitigationHonoursGuestEnvironment(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(b *fpspy.Builder)
+	}{
+		{"fesetround-rz", func(b *fpspy.Builder) {
+			b.Movi(isa.R1, int64(softfloat.RoundToZero))
+			b.CallC("fesetround")
+		}},
+		{"ldmxcsr-ftz-daz", func(b *fpspy.Builder) {
+			scratch := b.Words(0)
+			b.Movi(isa.R4, int64(scratch))
+			b.Stmxcsr(isa.R4, 0)
+			b.Ld(isa.R5, isa.R4, 0)
+			b.Movi(isa.R6, int64(mxcsr.FTZBit|mxcsr.DAZBit))
+			b.Or(isa.R5, isa.R5, isa.R6)
+			b.St(isa.R4, 0, isa.R5)
+			b.Ldmxcsr(isa.R4, 0)
+			// The stored image carries the exception masks, which the
+			// mitigator changes; keep it out of the compared memory.
+			b.St(isa.R4, 0, isa.R0)
+		}},
+	} {
+		for _, prec := range []uint{53, 256} {
+			t.Run(fmt.Sprintf("%s/prec%d", tc.name, prec), func(t *testing.T) {
+				stats := mitigateLikeNoSpy(t, buildTenthIn(tc.setup), prec)
+				if stats.Emulated != 0 || stats.Fallbacks != 1 {
+					t.Errorf("emulated %d fallbacks %d, want 0 and 1", stats.Emulated, stats.Fallbacks)
+				}
+			})
+		}
+	}
 }
 
 func TestMitigationValueThroughMemoryStaysCorrect(t *testing.T) {

@@ -52,6 +52,34 @@ func TestCoverageCount(t *testing.T) {
 	}
 }
 
+func TestFeasibilityModel(t *testing.T) {
+	// Heavy skew: one hot site takes nearly all events. Patching wins
+	// when per-event emulation is cheaper than the trap cost.
+	byAddr := []RankEntry{{Key: "0x400010", Count: 1_000_000}, {Key: "0x400020", Count: 10}}
+	byForm := []RankEntry{{Key: "mulsd", Count: 1_000_000}, {Key: "divsd", Count: 10}}
+	rep := Feasibility(byAddr, byForm, 50_000, 150, 4_000)
+	if !rep.PatchWins {
+		t.Errorf("patching should win: %+v", rep)
+	}
+	if rep.Sites99 != 1 || rep.Forms99 != 1 {
+		t.Errorf("coverage: %+v", rep)
+	}
+	// Without locality (every event on its own site) patching loses.
+	var flat []RankEntry
+	for i := 0; i < 1000; i++ {
+		flat = append(flat, RankEntry{Key: FormatAddr(uint64(i)), Count: 1})
+	}
+	rep2 := Feasibility(flat, byForm, 50_000, 150, 4_000)
+	if rep2.PatchWins {
+		t.Errorf("patching should lose without locality: %+v", rep2)
+	}
+	// Empty input.
+	rep3 := Feasibility(nil, nil, 1, 1, 1)
+	if rep3.TotalEvents != 0 || rep3.PatchWins {
+		t.Errorf("empty: %+v", rep3)
+	}
+}
+
 func TestRankByAddress(t *testing.T) {
 	recs := []trace.Record{
 		{Rip: 0x400010}, {Rip: 0x400010}, {Rip: 0x400020},
@@ -182,5 +210,24 @@ func TestStaticCoverageOf(t *testing.T) {
 	empty := StaticCoverageOf(nil, nil)
 	if empty.SiteCoverage != 0 || empty.EventCoverage != 0 || empty.DynamicSites != 0 {
 		t.Errorf("empty coverage = %+v", empty)
+	}
+}
+
+// TestBuildRootCauseTotalIsDeterministic: the report's float total must
+// not depend on map iteration order, or the same pass reports different
+// last bits from run to run.
+func TestBuildRootCauseTotalIsDeterministic(t *testing.T) {
+	var sites []RootCauseSite
+	for i := 0; i < 32; i++ {
+		sites = append(sites, RootCauseSite{
+			Addr: uint64(0x400000 + 4*i), Op: "addsd", Count: 1,
+			LocalUlps: float64(i+1) * 0.1 * float64(uint64(1)<<(i%7*8)),
+		})
+	}
+	want := BuildRootCause(113, sites).TotalLocalUlps
+	for i := 0; i < 50; i++ {
+		if got := BuildRootCause(113, sites).TotalLocalUlps; got != want {
+			t.Fatalf("run %d: total %v, first run %v", i, got, want)
+		}
 	}
 }

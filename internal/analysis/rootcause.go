@@ -99,7 +99,6 @@ func BuildRootCause(prec uint64, sites []RootCauseSite) *RootCauseReport {
 		s.Addr = addr
 		rep.Sites = append(rep.Sites, s)
 		rep.TotalOps += s.Count
-		rep.TotalLocalUlps += s.LocalUlps
 		if s.MaxUlps > rep.MaxUlps {
 			rep.MaxUlps = s.MaxUlps
 		}
@@ -111,6 +110,11 @@ func BuildRootCause(prec uint64, sites []RootCauseSite) *RootCauseReport {
 		}
 		return a.Addr < b.Addr
 	})
+	// Sum in rank order: map order would make the float total vary
+	// from run to run in its last bits.
+	for _, s := range rep.Sites {
+		rep.TotalLocalUlps += s.LocalUlps
+	}
 	rep.Sites99 = rootCauseCoverage(rep.Sites, rep.TotalLocalUlps, 0.99)
 	return rep
 }

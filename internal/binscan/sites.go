@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/isa"
-	"repro/internal/mitigate"
+	"repro/internal/shadow"
 )
 
 // Site is one statically discovered floating point instruction site: an
@@ -21,8 +21,8 @@ type Site struct {
 	// Reachable marks sites in blocks reachable from the entry or an
 	// address-taken root.
 	Reachable bool
-	// Emulable marks forms the Section 6 mitigation prototype
-	// (mitigate.ShadowExecutor) can re-execute at high precision.
+	// Emulable marks forms the shadow evaluator (shadow.Supported) can
+	// re-execute at high precision.
 	Emulable bool
 }
 
@@ -85,7 +85,7 @@ func ScanProgram(p *isa.Program) *Scan {
 				Addr:      p.AddrOf(i),
 				Op:        inst.Op,
 				Reachable: reach,
-				Emulable:  mitigate.ShadowSupported(inst.Op),
+				Emulable:  shadow.Supported(inst.Op),
 			})
 		}
 		if inst.Op == isa.OpCALLC {
@@ -168,7 +168,7 @@ func (s *Scan) AddressInventory(reachableOnly bool) []analysis.RankEntry {
 }
 
 // PresentLibc returns the set of libc symbols referenced anywhere in the
-// text — exactly what the deprecated workload.StaticLibcUse reported.
+// text.
 func (s *Scan) PresentLibc() map[string]bool {
 	out := make(map[string]bool, len(s.Libc))
 	for _, r := range s.Libc {

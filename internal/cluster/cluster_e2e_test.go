@@ -188,8 +188,10 @@ func ownerIndex(t testing.TB, peers []*peerT, j *jobs.Job, cfg fpspy.Config) int
 // wanted peer.
 func jobOwnedBy(t testing.TB, peers []*peerT, want int, cfg fpspy.Config) *jobs.Job {
 	t.Helper()
+	// The content address ignores the name, so the candidates differ
+	// in their divide count: every try is a distinct key.
 	for i := 0; i < 512; i++ {
-		j := cjob(t, fmt.Sprintf("owned-%d-%d", want, i), 1+i%5)
+		j := cjob(t, fmt.Sprintf("owned-%d-%d", want, i), 1+i)
 		if ownerIndex(t, peers, j, cfg) == want {
 			return j
 		}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	fpspy "repro"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -176,7 +177,6 @@ func NewNode(o Options) (*Node, error) {
 	n.rpc = newRPCClient(hc, o, n.cm())
 	n.mux = http.NewServeMux()
 	n.mux.HandleFunc("POST /v1/jobs", n.handleSubmit)
-	n.mux.HandleFunc("POST /v1/shadowjobs", n.handleShadowSubmit)
 	n.mux.HandleFunc("GET /v1/jobs/{id}", n.handleStatus)
 	n.mux.HandleFunc("GET /v1/jobs/{id}/result", n.handleResult)
 	n.mux.HandleFunc("POST /cluster/v1/run", n.handleRun)
@@ -219,10 +219,19 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mux.ServeHTTP(w, r)
 }
 
+// clusterJSON writes v as the JSON response body, with the body's
+// digest in bodyDigestHeader so a peer can tell a response damaged in
+// transit from data.
 func clusterJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(bodyDigestHeader, bodyDigest(body))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
+	w.Write(body) //nolint:errcheck // client gone
 }
 
 func clusterError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -244,27 +253,15 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	n.routeSubmission(w, r, req.Name, req.Clone, req.Config)
 }
 
-// handleShadowSubmit routes a shadow-attribution submission. The shadow
-// precision is folded into the config before the content address is
-// computed, so the same shadow job submitted through any two peers
-// routes to the same owner and runs exactly one pass cluster-wide.
-func (n *Node) handleShadowSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.ShadowSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad submit body: %v", err)
-		return
-	}
-	cfg, err := server.NormalizeShadowConfig(req.Config, req.Prec)
-	if err != nil {
+// routeSubmission validates a submission and applies admission on the
+// node the client connected to, then routes it by content address. A
+// bad shadow precision is refused here, before routing, so the client
+// gets its 400 from whichever node it contacted.
+func (n *Node) routeSubmission(w http.ResponseWriter, r *http.Request, name string, clone []byte, cfg fpspy.Config) {
+	if err := core.CheckShadowPrec(cfg.ShadowPrec); err != nil {
 		clusterError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	n.routeSubmission(w, r, req.Name, req.Clone, cfg)
-}
-
-// routeSubmission is the shared tail of the submit routes: admission on
-// the node the client connected to, then content-addressed routing.
-func (n *Node) routeSubmission(w http.ResponseWriter, r *http.Request, name string, clone []byte, cfg fpspy.Config) {
 	j, err := jobs.Decode(clone)
 	if err != nil {
 		clusterError(w, http.StatusBadRequest, "bad clone: %v", err)

@@ -12,6 +12,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,7 +161,21 @@ func (r *rpcClient) once(ctx context.Context, peer, method, path string, in any)
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return nil, &rpcError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
+	// A bit flip can leave valid JSON with a changed field, which
+	// decoding alone would accept as data; the digest catches it, and
+	// the error is retried like a dropped call.
+	if want := resp.Header.Get(bodyDigestHeader); want != "" && bodyDigest(data) != want {
+		return nil, fmt.Errorf("cluster rpc: %s %s: response body does not match its digest", method, path)
+	}
 	return data, nil
+}
+
+// bodyDigestHeader carries the SHA-256 of a cluster response body.
+const bodyDigestHeader = "X-Fpspy-Body-Sha256"
+
+func bodyDigest(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
 }
 
 // hedged races one logical call across up to two replicas: the primary

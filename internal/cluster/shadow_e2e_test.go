@@ -3,13 +3,15 @@ package cluster_test
 // The cluster-routed leg of the shadow-precision acceptance criterion:
 // the same shadow job submitted via two different fpspyd peers must run
 // exactly one pass cluster-wide, and the ranked attribution table must
-// be byte-identical wherever it is served from. The precision is folded
-// into the content address before routing, so routing and execution
+// be byte-identical wherever it is served from. The precision is part of
+// the config and so of the content address, so routing and execution
 // agree on ownership and a plain job over the same clone stays a
 // distinct cache entry.
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -37,19 +39,16 @@ func shadowResult(t testing.TB, c *client.Client, id string) ([]analysis.RootCau
 func TestClusterRoutedShadowJob(t *testing.T) {
 	peers := newTestCluster(t, 3, nil)
 	job := cjob(t, "shadow-routed", 4)
-	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
+	plainCfg := fpspy.Config{Mode: fpspy.ModeIndividual}
+	cfg := plainCfg
+	cfg.ShadowPrec = 113
 
-	// Routing happens under the normalized config (precision folded in);
-	// submit via a peer that does NOT own that address so the job takes
+	// Submit via a peer that does NOT own the address so the job takes
 	// the forwarding path.
-	eff, err := server.NormalizeShadowConfig(cfg, 113)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := ownerIndex(t, peers, job, eff)
+	owner := ownerIndex(t, peers, job, cfg)
 	via := (owner + 1) % len(peers)
 	cl := fastClient(peers[via].url, "shadow-routed-a")
-	resp, err := cl.SubmitShadow(job, cfg, 113)
+	resp, err := cl.Submit(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestClusterRoutedShadowJob(t *testing.T) {
 	// with the identical ranked table.
 	for i, p := range peers {
 		cl := fastClient(p.url, fmt.Sprintf("shadow-routed-%d", i))
-		resp2, err := cl.SubmitShadow(job, cfg, 113)
+		resp2, err := cl.Submit(job, cfg)
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
@@ -102,11 +101,31 @@ func TestClusterRoutedShadowJob(t *testing.T) {
 
 	// A plain job over the same clone is a different content address: it
 	// runs its own (single) pass instead of hitting the shadow entry.
-	plain, err := fastClient(peers[0].url, "shadow-plain").Submit(job, cfg)
+	plain, err := fastClient(peers[0].url, "shadow-plain").Submit(job, plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.CacheHit {
 		t.Fatal("plain job hit the shadow job's cluster cache entry")
+	}
+}
+
+// TestClusterRejectsBadShadowPrecision: a non-owner peer refuses an
+// out-of-range shadow precision itself, with a 400, before routing; no
+// pass runs anywhere.
+func TestClusterRejectsBadShadowPrecision(t *testing.T) {
+	peers := newTestCluster(t, 3, nil)
+	job := cjob(t, "shadow-bad-routed", 1)
+	for _, prec := range []uint64{1, 23, fpspy.MaxShadowPrec + 1, 65536} {
+		cfg := fpspy.Config{Mode: fpspy.ModeIndividual, ShadowPrec: prec}
+		via := (ownerIndex(t, peers, job, cfg) + 1) % len(peers)
+		_, err := fastClient(peers[via].url, "shadow-bad").Submit(job, cfg)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("prec %d via peer %d: err %v, want an APIError with status 400", prec, via, err)
+		}
+	}
+	if n := totalPasses(peers); n != 0 {
+		t.Fatalf("cluster executed %d passes for rejected submissions", n)
 	}
 }

@@ -115,11 +115,27 @@ type Config struct {
 // Shadow precision bounds (mantissa bits). The floor is binary32's 24 so
 // a shadow can emulate any native format exactly; the ceiling keeps a
 // pathological FPE_SHADOW from allocating multi-kilobyte mantissas per
-// lane.
+// lane. DefaultShadowPrec is what the shadow study and fpctl rootcause
+// run at when told nothing else: binary128's 113-bit mantissa, enough to
+// separate local from propagated error for any binary64 guest while
+// staying cheap to evaluate.
 const (
-	MinShadowPrec = 24
-	MaxShadowPrec = 4096
+	MinShadowPrec     = 24
+	MaxShadowPrec     = 4096
+	DefaultShadowPrec = 113
 )
+
+// CheckShadowPrec accepts a Config.ShadowPrec: 0 (no shadow) or a
+// precision in [MinShadowPrec, MaxShadowPrec]. Submission paths call it
+// so an out-of-range precision is refused up front instead of making
+// the spy reject FPE_SHADOW and run inert.
+func CheckShadowPrec(prec uint64) error {
+	if prec != 0 && (prec < MinShadowPrec || prec > MaxShadowPrec) {
+		return fmt.Errorf("shadow precision %d out of range [%d,%d]",
+			prec, MinShadowPrec, MaxShadowPrec)
+	}
+	return nil
+}
 
 // eventNames maps FPE_EXCEPT_LIST tokens to condition flags.
 var eventNames = map[string]softfloat.Flags{

@@ -288,19 +288,15 @@ func checkStatus(resp *http.Response) error {
 }
 
 // Submit captures-and-ships a clone: it encodes job and posts it with
-// the given FPSpy configuration.
+// the given FPSpy configuration. A nonzero cfg.ShadowPrec makes it a
+// shadow job, whose result stream carries the ranked root-cause
+// attribution.
 func (c *Client) Submit(job *jobs.Job, cfg fpspy.Config) (*server.SubmitResponse, error) {
-	return c.SubmitContext(context.Background(), job, cfg)
-}
-
-// SubmitContext is Submit with deadline/cancellation plumbing: the
-// context bounds the whole exchange, including backoff sleeps.
-func (c *Client) SubmitContext(ctx context.Context, job *jobs.Job, cfg fpspy.Config) (*server.SubmitResponse, error) {
 	blob, err := job.Encode()
 	if err != nil {
 		return nil, err
 	}
-	return c.SubmitBlobContext(ctx, job.Name, blob, cfg)
+	return c.SubmitBlobContext(context.Background(), job.Name, blob, cfg)
 }
 
 // SubmitBlob posts an already-encoded clone (e.g. read from a file
@@ -314,34 +310,6 @@ func (c *Client) SubmitBlobContext(ctx context.Context, name string, blob []byte
 	var resp server.SubmitResponse
 	err := c.doCtx(ctx, http.MethodPost, "/v1/jobs",
 		server.SubmitRequest{Name: name, Clone: blob, Config: cfg}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// SubmitShadow posts a clone to /v1/shadowjobs: the pass runs with the
-// shadow-precision channel attached and the result stream carries the
-// ranked root-cause attribution. prec 0 defers to cfg.ShadowPrec, then
-// the server default.
-func (c *Client) SubmitShadow(job *jobs.Job, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
-	return c.SubmitShadowContext(context.Background(), job, cfg, prec)
-}
-
-// SubmitShadowContext is SubmitShadow under a context.
-func (c *Client) SubmitShadowContext(ctx context.Context, job *jobs.Job, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
-	blob, err := job.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return c.SubmitShadowBlobContext(ctx, job.Name, blob, cfg, prec)
-}
-
-// SubmitShadowBlobContext posts an already-encoded clone as a shadow job.
-func (c *Client) SubmitShadowBlobContext(ctx context.Context, name string, blob []byte, cfg fpspy.Config, prec uint64) (*server.SubmitResponse, error) {
-	var resp server.SubmitResponse
-	err := c.doCtx(ctx, http.MethodPost, "/v1/shadowjobs",
-		server.ShadowSubmitRequest{Name: name, Clone: blob, Config: cfg, Prec: prec}, &resp)
 	if err != nil {
 		return nil, err
 	}

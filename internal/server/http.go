@@ -30,27 +30,6 @@ type SubmitRequest struct {
 	Config fpspy.Config `json:"config"`
 }
 
-// DefaultShadowPrec is the shadow precision a /v1/shadowjobs submission
-// runs at when it names none: binary128's 113-bit mantissa, enough to
-// separate local from propagated error for any binary64 guest while
-// staying cheap to evaluate.
-const DefaultShadowPrec = 113
-
-// ShadowSubmitRequest is the POST /v1/shadowjobs body: a job submission
-// that runs with the shadow-precision channel attached and streams the
-// ranked root-cause attribution alongside the usual result.
-type ShadowSubmitRequest struct {
-	// Name optionally overrides the clone's submission name.
-	Name string `json:"name,omitempty"`
-	// Clone is the gob-encoded submission clone (base64 on the wire).
-	Clone []byte `json:"clone"`
-	// Config is the FPSpy configuration to replay under.
-	Config fpspy.Config `json:"config"`
-	// Prec is the shadow precision in mantissa bits; 0 means
-	// Config.ShadowPrec, or DefaultShadowPrec if that is also 0.
-	Prec uint64 `json:"prec,omitempty"`
-}
-
 // SubmitResponse answers POST /v1/jobs.
 type SubmitResponse struct {
 	ID       string `json:"id"`
@@ -135,7 +114,6 @@ const maxSubmitBytes = 64 << 20
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/shadowjobs", s.handleShadowSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/figures", s.handleFigures)
@@ -207,30 +185,6 @@ func (s *Server) admitClient(w http.ResponseWriter, r *http.Request) (client str
 	return client, true
 }
 
-// acceptSubmission runs the shared submit tail — enqueue (or cache-hit)
-// and respond — for the plain and shadow submit handlers.
-func (s *Server) acceptSubmission(w http.ResponseWriter, client, name string, clone []byte, cfg fpspy.Config) {
-	rec, err := s.submit(client, name, clone, cfg)
-	switch {
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	s.mu.Lock()
-	resp := SubmitResponse{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit}
-	s.mu.Unlock()
-	status := http.StatusAccepted
-	if resp.State == StateDone || resp.State == StateFailed {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {
@@ -250,59 +204,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad submission body: %v", err)
 		return
 	}
-	s.acceptSubmission(w, client, req.Name, req.Clone, req.Config)
-}
-
-// handleShadowSubmit accepts POST /v1/shadowjobs: the same submission
-// flow as /v1/jobs, with the shadow-precision channel forced on. The
-// precision is folded into the config before the cache key is computed,
-// so a shadow job and the plain job over the same clone are distinct
-// cache entries (and distinct precisions are too), while resubmitting
-// the same shadow job — to any peer in a cluster — hits the cache.
-func (s *Server) handleShadowSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-			s.observeNS(&sv.SubmitNS, start)
-		}
-	}()
-
-	client, ok := s.admitClient(w, r)
-	if !ok {
+	rec, err := s.submit(client, req.Name, req.Clone, req.Config)
+	switch {
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
-	}
-
-	var req ShadowSubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad submission body: %v", err)
-		return
-	}
-	cfg, err := NormalizeShadowConfig(req.Config, req.Prec)
-	if err != nil {
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.acceptSubmission(w, client, req.Name, req.Clone, cfg)
-}
 
-// NormalizeShadowConfig resolves a shadow submission's effective config:
-// an explicit request precision wins, then Config.ShadowPrec, then
-// DefaultShadowPrec. Normalizing before the cache key is computed is
-// what makes "default precision" and "explicit 113" the same cache
-// entry. The cluster router shares this so routing and execution agree.
-func NormalizeShadowConfig(cfg fpspy.Config, prec uint64) (fpspy.Config, error) {
-	if prec != 0 {
-		cfg.ShadowPrec = prec
+	s.mu.Lock()
+	resp := SubmitResponse{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit}
+	s.mu.Unlock()
+	status := http.StatusAccepted
+	if resp.State == StateDone || resp.State == StateFailed {
+		status = http.StatusOK
 	}
-	if cfg.ShadowPrec == 0 {
-		cfg.ShadowPrec = DefaultShadowPrec
-	}
-	if cfg.ShadowPrec < fpspy.MinShadowPrec || cfg.ShadowPrec > fpspy.MaxShadowPrec {
-		return cfg, fmt.Errorf("shadow precision %d out of range [%d,%d]",
-			cfg.ShadowPrec, fpspy.MinShadowPrec, fpspy.MaxShadowPrec)
-	}
-	return cfg, nil
+	writeJSON(w, status, resp)
 }
 
 // lookup fetches a job record and a snapshot of its mutable state.

@@ -34,6 +34,7 @@ import (
 
 	fpspy "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/study"
@@ -266,6 +267,9 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 			sv.Shed.Inc()
 		}
 		return nil, ErrDraining
+	}
+	if err := core.CheckShadowPrec(cfg.ShadowPrec); err != nil {
+		return nil, err
 	}
 	j, err := jobs.Decode(blob)
 	if err != nil {

@@ -1,12 +1,15 @@
 package server_test
 
 // End-to-end shadow-job flow through the daemon: a clone posted to
-// /v1/shadowjobs must run with the shadow-precision channel attached,
-// stream its ranked attribution sites before the summary, carry the
-// report scalars in the summary, and land in the content-addressed
-// cache under a key distinct from the plain job over the same clone.
+// POST /v1/jobs with config.ShadowPrec set must run with the
+// shadow-precision channel attached, stream its ranked attribution
+// sites before the summary, carry the report scalars in the summary,
+// and land in the content-addressed cache under a key distinct from the
+// plain job over the same clone.
 
 import (
+	"errors"
+	"net/http"
 	"testing"
 
 	fpspy "repro"
@@ -38,8 +41,10 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 
 	// Four inexact divides at one address: exactly one attributable site.
 	job := e2eJob(t, "shadow-guest", 4, nil)
-	cfg := fpspy.Config{Mode: fpspy.ModeIndividual}
-	resp, err := c.SubmitShadow(job, cfg, 113)
+	plainCfg := fpspy.Config{Mode: fpspy.ModeIndividual}
+	cfg := plainCfg
+	cfg.ShadowPrec = 113
+	resp, err := c.Submit(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 
 	// The identical shadow resubmission is absorbed by the cache and
 	// replays the same ranked table.
-	resp2, err := c.SubmitShadow(job, cfg, 113)
+	resp2, err := c.Submit(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	// A plain submission of the same clone is a different cache entry —
 	// no site lines, no shadow scalars — and a different precision is a
 	// third entry.
-	plain, err := c.Submit(job, cfg)
+	plain, err := c.Submit(job, plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,34 +110,28 @@ func TestE2EShadowJobStreamsRankedSites(t *testing.T) {
 	if len(psites) != 0 || psum.ShadowPrec != 0 || psum.ShadowSites != 0 {
 		t.Fatalf("plain job leaked shadow output: %d sites, summary %+v", len(psites), psum)
 	}
-	other, err := c.SubmitShadow(job, cfg, 256)
+	cfg.ShadowPrec = 256
+	other, err := c.Submit(job, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other.CacheHit {
 		t.Fatal("prec-256 shadow job hit the prec-113 cache entry")
 	}
-
-	// Default resolution: prec 0 normalizes to DefaultShadowPrec, so an
-	// explicit-113 resubmission of a default submission is a cache hit.
-	def, err := c.SubmitShadow(job, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !def.CacheHit {
-		t.Fatal("default-precision shadow job missed the explicit-113 cache entry")
-	}
 }
 
-// TestE2EShadowJobRejectsBadPrecision: out-of-range precisions are a
-// client error, not a queued failure.
+// TestE2EShadowJobRejectsBadPrecision: an out-of-range shadow
+// precision is a client error (400), not a job that runs with the spy
+// inert and lands in the cache.
 func TestE2EShadowJobRejectsBadPrecision(t *testing.T) {
 	_, ts := newDaemon(t, server.Options{Workers: 1})
 	c := client.New(ts.URL, "shadow-bad")
 	job := e2eJob(t, "shadow-bad", 1, nil)
-	for _, prec := range []uint64{1, 23, fpspy.MaxShadowPrec + 1} {
-		if _, err := c.SubmitShadow(job, fpspy.Config{Mode: fpspy.ModeIndividual}, prec); err == nil {
-			t.Errorf("prec %d accepted, want rejection", prec)
+	for _, prec := range []uint64{1, 23, fpspy.MaxShadowPrec + 1, 65536} {
+		_, err := c.Submit(job, fpspy.Config{Mode: fpspy.ModeIndividual, ShadowPrec: prec})
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("prec %d: err %v, want an APIError with status 400", prec, err)
 		}
 	}
 }

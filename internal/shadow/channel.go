@@ -8,7 +8,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/softfloat"
 )
 
 // Bounds on the channel's tracking maps. A guest that touches more
@@ -155,15 +154,6 @@ func (ch *Channel) Sites() []analysis.RootCauseSite {
 	return out
 }
 
-// envClean reports whether the FP environment matches the shadow
-// semantics: round-to-nearest-even, no FTZ, no DAZ. Ops retired under
-// any other environment are not shadow-executed (their results would
-// diverge for reasons that are not rounding error).
-func (ch *Channel) envClean() bool {
-	e := ch.m.CPU.MXCSR.Env()
-	return e.RM == softfloat.RoundNearestEven && !e.FTZ && !e.DAZ
-}
-
 // PreStep implements machine.ShadowSink: capture the instruction and,
 // for shadow-executable ops, its pre-execution operands.
 func (ch *Channel) PreStep(addr uint64, inst *isa.Inst, info *isa.OpInfo) {
@@ -172,7 +162,7 @@ func (ch *Channel) PreStep(addr uint64, inst *isa.Inst, info *isa.OpInfo) {
 	p.arith = false
 	switch info.Class {
 	case isa.ClassFPArith, isa.ClassFMA:
-		if !Supported(inst.Op) || !ch.envClean() {
+		if !Supported(inst.Op) || !cleanEnv(ch.m.CPU.MXCSR.Env()) {
 			return
 		}
 		p.arith = true
@@ -389,25 +379,13 @@ func (ch *Channel) account(agg *siteAgg, r laneResult) {
 }
 
 // evalLane64 runs the local and shadow evaluations for one binary64
-// lane. Local error recomputes the op from the *native* inputs at wide
-// precision against the native output; the shadow result reuses that
-// evaluation unless a shadow operand has drifted from native.
+// lane (eval64) and compares both with the native output.
 func (ch *Channel) evalLane64(p *pend, info *isa.OpInfo, l int, natOut uint64) laneResult {
-	natA, natB, natC := p.natA[l], p.natB[l], p.natC[l]
-	fma := info.Class == isa.ClassFMA
-	if !finite64(natA) || !finite64(natB) || (fma && !finite64(natC)) || !finite64(natOut) {
+	if !finite64(natOut) {
 		return laneResult{class: SampleNonFinite}
 	}
-	aN, bN := bigOf64(natA), bigOf64(natB)
-	var cN *big.Float
-	var rLocal *big.Float
-	var ok bool
-	if fma {
-		cN = bigOf64(natC)
-		rLocal, ok = evalFMA(info.FMA, aN, bN, cN, ch.wide)
-	} else {
-		rLocal, ok = evalArith(info.FP, aN, bN, ch.wide)
-	}
+	rLocal, sh, ok := eval64(info, [3]uint64{p.natA[l], p.natB[l], p.natC[l]},
+		[3]*big.Float{p.shA[l], p.shB[l], p.shC[l]}, ch.wide, ch.prec)
 	if !ok {
 		return laneResult{class: SampleNonFinite}
 	}
@@ -415,23 +393,6 @@ func (ch *Channel) evalLane64(p *pend, info *isa.OpInfo, l int, natOut uint64) l
 	diff := new(big.Float).SetPrec(ch.wide).Sub(rLocal, outB)
 	local := fracUlps64(diff, natOut)
 	rel := relErr(diff, rLocal)
-
-	rShadow := rLocal
-	if p.shA[l] != nil || p.shB[l] != nil || (fma && p.shC[l] != nil) {
-		a, b := coalesce(p.shA[l], aN), coalesce(p.shB[l], bN)
-		if fma {
-			rShadow, ok = evalFMA(info.FMA, a, b, coalesce(p.shC[l], cN), ch.wide)
-		} else {
-			rShadow, ok = evalArith(info.FP, a, b, ch.wide)
-		}
-		if !ok {
-			return laneResult{class: SampleNonFinite}
-		}
-	}
-	sh := roundShadow64(rShadow, ch.prec)
-	if sh.IsInf() {
-		return laneResult{class: SampleNonFinite}
-	}
 	total := fracUlps64(new(big.Float).SetPrec(ch.wide).Sub(sh, outB), natOut)
 	dist, _ := Dist64(natOut, nativeBits64(sh))
 	class := SampleExact
@@ -452,14 +413,10 @@ func (ch *Channel) evalLane32(p *pend, info *isa.OpInfo, natOut uint32) laneResu
 	}
 	aN, bN := bigOf32(natA), bigOf32(natB)
 	var cN *big.Float
-	var rLocal *big.Float
-	var ok bool
 	if fma {
 		cN = bigOf32(natC)
-		rLocal, ok = evalFMA(info.FMA, aN, bN, cN, ch.wide)
-	} else {
-		rLocal, ok = evalArith(info.FP, aN, bN, ch.wide)
 	}
+	rLocal, ok := eval(info, aN, bN, cN, ch.wide)
 	if !ok {
 		return laneResult{class: SampleNonFinite}
 	}
@@ -470,12 +427,7 @@ func (ch *Channel) evalLane32(p *pend, info *isa.OpInfo, natOut uint32) laneResu
 
 	rShadow := rLocal
 	if p.shA[0] != nil || p.shB[0] != nil || (fma && p.shC[0] != nil) {
-		a, b := coalesce(p.shA[0], aN), coalesce(p.shB[0], bN)
-		if fma {
-			rShadow, ok = evalFMA(info.FMA, a, b, coalesce(p.shC[0], cN), ch.wide)
-		} else {
-			rShadow, ok = evalArith(info.FP, a, b, ch.wide)
-		}
+		rShadow, ok = eval(info, coalesce(p.shA[0], aN), coalesce(p.shB[0], bN), coalesce(p.shC[0], cN), ch.wide)
 		if !ok {
 			return laneResult{class: SampleNonFinite}
 		}

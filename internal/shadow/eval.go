@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"repro/internal/isa"
+	"repro/internal/softfloat"
 )
 
 // baseWidePrec is the minimum working precision for the near-exact
@@ -124,6 +125,83 @@ func evalFMA(v isa.FMAVariant, a, b, c *big.Float, prec uint) (*big.Float, bool)
 	}
 	z.SetMode(big.ToNearestEven)
 	return z, true
+}
+
+// eval evaluates an arithmetic or FMA op (by info's class) at prec.
+func eval(info *isa.OpInfo, a, b, c *big.Float, prec uint) (*big.Float, bool) {
+	if info.Class == isa.ClassFMA {
+		return evalFMA(info.FMA, a, b, c, prec)
+	}
+	return evalArith(info.FP, a, b, prec)
+}
+
+// eval64 evaluates one binary64 lane of an arithmetic or FMA op twice:
+// from the native operand bits nat at wide precision (local, the
+// near-exact result of the inputs the hardware saw), and from the
+// shadow operands sh rounded into the prec-bit shadow number system
+// (shadow). nat and sh are in source order (Rs1, Rs2, Rs3; the third is
+// read only by FMA forms); a nil shadow means "equal to native", and
+// when every shadow is nil the local evaluation is reused. ok=false
+// means a non-finite operand or an op with no finite shadow result.
+func eval64(info *isa.OpInfo, nat [3]uint64, sh [3]*big.Float, wide, prec uint) (local, shadow *big.Float, ok bool) {
+	fma := info.Class == isa.ClassFMA
+	if !finite64(nat[0]) || !finite64(nat[1]) || (fma && !finite64(nat[2])) {
+		return nil, nil, false
+	}
+	a, b := bigOf64(nat[0]), bigOf64(nat[1])
+	var c *big.Float
+	if fma {
+		c = bigOf64(nat[2])
+	}
+	if local, ok = eval(info, a, b, c, wide); !ok {
+		return nil, nil, false
+	}
+	r := local
+	if sh[0] != nil || sh[1] != nil || (fma && sh[2] != nil) {
+		if r, ok = eval(info, coalesce(sh[0], a), coalesce(sh[1], b), coalesce(sh[2], c), wide); !ok {
+			return nil, nil, false
+		}
+	}
+	if shadow = roundShadow64(r, prec); shadow.IsInf() {
+		return nil, nil, false
+	}
+	return local, shadow, true
+}
+
+// Emulate64 is the evaluator's entry point for a trap-and-emulate
+// mitigator (internal/adaptive): it executes one scalar binary64
+// arithmetic, FMA or int64-to-binary64 conversion instruction in
+// software. env is the guest's FP environment; nat and sh are the
+// operands as for eval64, except that a conversion's nat[0] is its
+// integer operand. It returns the result at prec bits, that result
+// rounded to binary64 (the bits to write back), and the binary64 result
+// of the native operands (what the hardware writes). ok=false means the
+// caller must let the hardware execute the instruction: the form is not
+// one of those, the environment is not the one the shadow semantics
+// model (see cleanEnv), or the result is not finite.
+func Emulate64(info *isa.OpInfo, env softfloat.Env, nat [3]uint64, sh [3]*big.Float, prec uint) (v *big.Float, bits, hw uint64, ok bool) {
+	var local *big.Float
+	switch {
+	case !cleanEnv(env):
+	case info.Class == isa.ClassFPConvert && info.Cvt == isa.CvtSI2SDQ:
+		local = new(big.Float).SetInt64(int64(nat[0]))
+		v, ok = roundShadow64(local, prec), true
+	case (info.Class == isa.ClassFPArith || info.Class == isa.ClassFMA) &&
+		info.Prec == isa.F64 && info.Lanes == 1:
+		local, v, ok = eval64(info, nat, sh, widePrec(prec), prec)
+	}
+	if !ok {
+		return nil, 0, 0, false
+	}
+	return v, nativeBits64(v), nativeBits64(local), true
+}
+
+// cleanEnv reports whether an FP environment matches the shadow
+// semantics: round-to-nearest-even, no FTZ, no DAZ. Ops retired under
+// any other environment are not shadow-executed (their results would
+// diverge for reasons that are not rounding error).
+func cleanEnv(e softfloat.Env) bool {
+	return e.RM == softfloat.RoundNearestEven && !e.FTZ && !e.DAZ
 }
 
 // roundShadow64 rounds a wide result into the shadow number system for

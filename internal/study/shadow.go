@@ -16,13 +16,9 @@ import (
 
 	fpspy "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
-
-// DefaultShadowPrec is the precision the shadow study runs at when the
-// cell names none: binary128's 113-bit mantissa (matching the fpspyd
-// /v1/shadowjobs default).
-const DefaultShadowPrec = 113
 
 // ShadowConfig is the spy configuration a shadow cell runs under:
 // aggregate mode (the cheapest spy; shadowing needs no trap protocol)
@@ -36,7 +32,8 @@ func ShadowConfig(prec uint64) fpspy.Config {
 type ShadowCell struct {
 	// Workload names the registry entry to run.
 	Workload string
-	// Prec is the shadow precision in mantissa bits (0 = default).
+	// Prec is the shadow precision in mantissa bits (0 =
+	// core.DefaultShadowPrec).
 	Prec uint64
 	// MitPrec, when nonzero, also runs the workload under the Section 6
 	// adaptive-precision mitigator at this software-FPU precision.
@@ -83,7 +80,7 @@ type ShadowCellResult struct {
 func RunShadowCell(cell ShadowCell) ShadowCellResult {
 	prec := cell.Prec
 	if prec == 0 {
-		prec = DefaultShadowPrec
+		prec = core.DefaultShadowPrec
 	}
 	size := cell.Size
 	res := ShadowCellResult{Workload: cell.Workload, Prec: prec}
