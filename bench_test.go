@@ -672,7 +672,8 @@ func BenchmarkShadowOverhead(b *testing.B) {
 			name = "prec" + strconv.FormatUint(prec, 10)
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			// run returns the number of shadow-executed lane operations.
+			run := func() uint64 {
 				res, err := fpspy.Run(prog, fpspy.Options{
 					Config: fpspy.Config{Mode: fpspy.ModeIndividual, ShadowPrec: prec},
 				})
@@ -686,6 +687,28 @@ func BenchmarkShadowOverhead(b *testing.B) {
 				if prec != 0 && len(sites) == 0 {
 					b.Fatal("shadow run attributed nothing")
 				}
+				var ops uint64
+				for _, s := range sites {
+					ops += s.Count
+				}
+				return ops
+			}
+			// Regression gate for the evaluator's scratch: each shadow op
+			// allocates its kept shadow value plus what math/big needs
+			// inside a quotient (~4.9 per op over this add/mul/div mix,
+			// run setup included); with a fresh big.Float per
+			// intermediate it was ~20.
+			if prec != 0 {
+				var ops uint64
+				allocs := testing.AllocsPerRun(1, func() { ops = run() })
+				if perOp := allocs / float64(ops); perOp > 6 {
+					b.Fatalf("shadow run allocates %.1f times per shadow op; per-op scratch allocation has crept back in", perOp)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

@@ -635,3 +635,51 @@ func TestClusterFaultSweep(t *testing.T) {
 
 // jsonBody builds a request body from a literal.
 func jsonBody(s string) *strings.Reader { return strings.NewReader(s) }
+
+// TestClusterSubmitMetricsCountOnce: every client submission is counted
+// once on the ring — one POST /v1/jobs latency sample and one cache hit
+// or miss — whether the contacted node owns the clone, serves it from
+// its cache-everywhere copy, or forwards it to the owner. Forwarded
+// runs on the owner count nothing themselves, so misses equal passes.
+func TestClusterSubmitMetricsCountOnce(t *testing.T) {
+	peers := newTestCluster(t, 3, nil)
+	cfg := fpspy.Config{Mode: fpspy.ModeAggregate}
+	j1 := jobOwnedBy(t, peers, 1, cfg)
+	j2 := jobOwnedBy(t, peers, 2, cfg)
+	submissions := []struct {
+		via int
+		j   *jobs.Job
+	}{
+		{1, j1}, // owner: miss
+		{0, j1}, // forwarded: the owner's hit
+		{0, j1}, // cache-everywhere: a local hit
+		{2, j1}, // forwarded: the owner's hit
+		{0, j2}, // forwarded: the owner's miss
+		{2, j2}, // owner: hit
+	}
+	for i, s := range submissions {
+		cl := fastClient(peers[s.via].url, "count-once")
+		resp, err := cl.SubmitBlob(s.j.Name, encodeJob(t, s.j), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := cl.Watch(resp.ID, 5*time.Millisecond); err != nil || st.State != server.StateDone {
+			t.Fatalf("submission %d: %v, %+v", i, err, st)
+		}
+	}
+	var submits, hits, misses, latencies uint64
+	for _, p := range peers {
+		sv := p.om.ServerMetricsOrNil()
+		submits += sv.Submissions.Load()
+		hits += sv.CacheHits.Load()
+		misses += sv.CacheMisses.Load()
+		latencies += sv.SubmitNS.Count()
+	}
+	n := uint64(len(submissions))
+	if submits != n || hits+misses != n || latencies != n {
+		t.Errorf("ring counted %d submissions, %d hits + %d misses, %d submit latencies; want %d each", submits, hits, misses, latencies, n)
+	}
+	if passes := uint64(totalPasses(peers)); misses != passes || passes != 2 {
+		t.Errorf("misses = %d, passes = %d; want 2 each", misses, passes)
+	}
+}

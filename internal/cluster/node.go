@@ -245,6 +245,7 @@ func (n *Node) replicasFor(key string) []string {
 
 // handleSubmit routes one submission by content address.
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	defer n.srv.ObserveSubmit(time.Now())
 	var req server.SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		clusterError(w, http.StatusBadRequest, "bad submit body: %v", err)
@@ -295,6 +296,7 @@ func (n *Node) routeSubmission(w http.ResponseWriter, r *http.Request, name stri
 		if c := n.cm(); c != nil {
 			c.ForwardsLocal.Inc()
 		}
+		n.srv.CountSubmission(true)
 		pj := n.newProxyJob(name, clientID, key)
 		n.settleProxy(pj, true, out, errMsg)
 		clusterJSON(w, http.StatusOK, server.SubmitResponse{ID: pj.id, State: pj.state, CacheHit: true})
@@ -323,6 +325,7 @@ func (n *Node) submitLocal(w http.ResponseWriter, clientID, name string, blob []
 	res, err := n.srv.Submit(clientID, name, blob, cfg)
 	switch {
 	case err == nil:
+		n.srv.CountSubmission(res.CacheHit)
 	case errors.Is(err, server.ErrDraining), errors.Is(err, server.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		clusterError(w, http.StatusServiceUnavailable, "%v", err)
@@ -403,6 +406,7 @@ func (n *Node) forward(pj *proxyJob, req runRequest) {
 	// Cache-everywhere: the peer's settled outcome becomes a local cache
 	// entry, so the next submission of this clone here is a pure hit.
 	n.srv.InstallOutcome(req.Key, resp.Outcome, resp.Error)
+	n.srv.CountSubmission(resp.CacheHit)
 	n.settleProxy(pj, resp.CacheHit, resp.Outcome, resp.Error)
 }
 
@@ -416,6 +420,7 @@ func (n *Node) runDegraded(pj *proxyJob, req runRequest) {
 		n.settleProxy(pj, false, nil, fmt.Sprintf("degraded local run: %v", err))
 		return
 	}
+	n.srv.CountSubmission(res.CacheHit)
 	out, err := n.srv.WaitOutcome(n.ctx, res.ID)
 	if err != nil {
 		n.settleProxy(pj, res.CacheHit, nil, err.Error())

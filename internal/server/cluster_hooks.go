@@ -31,7 +31,9 @@ type SubmitResult struct {
 }
 
 // Submit admits one submission programmatically — the same path the
-// HTTP handler takes, minus rate limiting (callers gate with Allow).
+// HTTP handler takes, minus rate limiting (callers gate with Allow) and
+// minus the submission count: a cluster router counts each client
+// submission once with CountSubmission, wherever it ends up running.
 func (s *Server) Submit(client, name string, blob []byte, cfg fpspy.Config) (SubmitResult, error) {
 	rec, err := s.submit(client, name, blob, cfg)
 	if err != nil {
@@ -40,6 +42,14 @@ func (s *Server) Submit(client, name string, blob []byte, cfg fpspy.Config) (Sub
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SubmitResult{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit, Key: rec.key}, nil
+}
+
+// ObserveSubmit records the latency of one POST /v1/jobs served by a
+// cluster router, which answers the endpoint itself.
+func (s *Server) ObserveSubmit(start time.Time) {
+	if sv := s.obs.ServerMetricsOrNil(); sv != nil {
+		s.observeNS(&sv.SubmitNS, start)
+	}
 }
 
 // Allow consults the per-client rate limiter: callers that bypass the

@@ -186,12 +186,7 @@ func (s *Server) admitClient(w http.ResponseWriter, r *http.Request) (client str
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		if sv := s.obs.ServerMetricsOrNil(); sv != nil {
-			s.observeNS(&sv.SubmitNS, start)
-		}
-	}()
+	defer s.ObserveSubmit(time.Now())
 
 	client, ok := s.admitClient(w, r)
 	if !ok {
@@ -218,6 +213,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	resp := SubmitResponse{ID: rec.id, State: rec.state, CacheHit: rec.cacheHit}
 	s.mu.Unlock()
+	s.CountSubmission(resp.CacheHit)
 	status := http.StatusAccepted
 	if resp.State == StateDone || resp.State == StateFailed {
 		status = http.StatusOK

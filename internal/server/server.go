@@ -306,10 +306,6 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 		// way this submission never runs.
 		rec.cacheHit = true
 		rec.entry = e
-		if sv != nil {
-			sv.Submissions.Inc()
-			sv.CacheHits.Inc()
-		}
 		if e.settled {
 			finalizeLocked(rec, e, sv)
 		} else {
@@ -326,8 +322,6 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 		s.cache[key] = e
 		s.jobs[rec.id] = rec
 		if sv != nil {
-			sv.Submissions.Inc()
-			sv.CacheMisses.Inc()
 			sv.QueueDepth.Add(1)
 		}
 		return rec, nil
@@ -336,6 +330,24 @@ func (s *Server) submit(client, name string, blob []byte, cfg fpspy.Config) (*jo
 			sv.Shed.Inc()
 		}
 		return nil, ErrQueueFull
+	}
+}
+
+// CountSubmission records one admitted client submission as a cache
+// hit or miss; for a cluster router's forwarded submission, hit is the
+// owner's answer. submit does not count: a peer's forwarded run or a
+// stolen job's replay goes through it too, and only the node the
+// client contacted counts the submission.
+func (s *Server) CountSubmission(hit bool) {
+	sv := s.obs.ServerMetricsOrNil()
+	if sv == nil {
+		return
+	}
+	sv.Submissions.Inc()
+	if hit {
+		sv.CacheHits.Inc()
+	} else {
+		sv.CacheMisses.Inc()
 	}
 }
 

@@ -83,10 +83,10 @@ type Channel struct {
 
 	stats Stats
 	pend  pend
+	s     scratch
 }
 
-// Stats is the channel's scalar accounting, for the mitigation
-// executor and benchmarks.
+// Stats is the channel's scalar accounting, for tests and benchmarks.
 type Stats struct {
 	// Ops counts shadow-executed lane operations (comparison points).
 	Ops uint64
@@ -286,47 +286,35 @@ func (ch *Channel) bumpInvalidation() {
 	}
 }
 
-// laneResult is one shadow-executed lane comparison.
-type laneResult struct {
-	class SampleClass
-	sh    *big.Float
-	local float64
-	rel   float64
-	total float64
-	dist  uint64
-}
-
 // applyArith folds a supported arithmetic/FMA retirement into the
 // shadow state and the site's attribution row. Masked-off lanes are
 // untouched: they neither compute nor shadow-execute, and keep their
 // prior shadows (merge masking preserved the architectural lanes too).
+// A scalar binary32 op is lane 0 with its bit patterns in the low half.
 func (ch *Channel) applyArith(p *pend, inst *isa.Inst, info *isa.OpInfo) {
-	if info.Prec != isa.F32 && p.mask == 0 {
+	if p.mask == 0 {
 		// Fully masked-off: nothing computed, nothing to attribute, and
 		// merge masking preserved the destination (shadows included).
 		return
 	}
 	agg := ch.site(p.addr, info.Name)
-	if info.Prec == isa.F32 {
-		natOut := uint32(ch.m.CPU.X[inst.Rd][0])
-		r := ch.evalLane32(p, info, natOut)
-		if r.class == SampleNonFinite {
-			ch.invalidateWord(inst.Rd, 0)
-		} else {
-			ch.set32(inst.Rd, r.sh)
-		}
-		ch.account(agg, r)
-		return
-	}
+	single := info.Prec == isa.F32
 	for l := 0; l < info.Lanes; l++ {
 		if p.mask>>uint(l)&1 == 0 {
 			continue
 		}
 		natOut := ch.m.CPU.X[inst.Rd][l]
-		r := ch.evalLane64(p, info, l, natOut)
-		if r.class == SampleNonFinite {
+		if single {
+			natOut &= 0xFFFFFFFF
+		}
+		r := ch.s.lane(info, single, [3]uint64{p.natA[l], p.natB[l], p.natC[l]},
+			[3]*big.Float{p.shA[l], p.shB[l], p.shC[l]}, natOut, ch.wide, ch.prec)
+		switch {
+		case r.class == SampleNonFinite:
 			ch.invalidateWord(inst.Rd, l)
-		} else {
+		case single:
+			ch.set32(inst.Rd, r.sh)
+		default:
 			ch.setWord(inst.Rd, l, r.sh)
 		}
 		ch.account(agg, r)
@@ -376,82 +364,6 @@ func (ch *Channel) account(agg *siteAgg, r laneResult) {
 	if r.dist > agg.maxUlps {
 		agg.maxUlps = r.dist
 	}
-}
-
-// evalLane64 runs the local and shadow evaluations for one binary64
-// lane (eval64) and compares both with the native output.
-func (ch *Channel) evalLane64(p *pend, info *isa.OpInfo, l int, natOut uint64) laneResult {
-	if !finite64(natOut) {
-		return laneResult{class: SampleNonFinite}
-	}
-	rLocal, sh, ok := eval64(info, [3]uint64{p.natA[l], p.natB[l], p.natC[l]},
-		[3]*big.Float{p.shA[l], p.shB[l], p.shC[l]}, ch.wide, ch.prec)
-	if !ok {
-		return laneResult{class: SampleNonFinite}
-	}
-	outB := bigOf64(natOut)
-	diff := new(big.Float).SetPrec(ch.wide).Sub(rLocal, outB)
-	local := fracUlps64(diff, natOut)
-	rel := relErr(diff, rLocal)
-	total := fracUlps64(new(big.Float).SetPrec(ch.wide).Sub(sh, outB), natOut)
-	dist, _ := Dist64(natOut, nativeBits64(sh))
-	class := SampleExact
-	if dist > 0 {
-		class = SampleDiverged
-	} else if local > 0 {
-		class = SampleRounded
-	}
-	return laneResult{class: class, sh: sh, local: local, rel: rel, total: total, dist: dist}
-}
-
-// evalLane32 is evalLane64 for the scalar binary32 lane.
-func (ch *Channel) evalLane32(p *pend, info *isa.OpInfo, natOut uint32) laneResult {
-	natA, natB, natC := uint32(p.natA[0]), uint32(p.natB[0]), uint32(p.natC[0])
-	fma := info.Class == isa.ClassFMA
-	if !finite32(natA) || !finite32(natB) || (fma && !finite32(natC)) || !finite32(natOut) {
-		return laneResult{class: SampleNonFinite}
-	}
-	aN, bN := bigOf32(natA), bigOf32(natB)
-	var cN *big.Float
-	if fma {
-		cN = bigOf32(natC)
-	}
-	rLocal, ok := eval(info, aN, bN, cN, ch.wide)
-	if !ok {
-		return laneResult{class: SampleNonFinite}
-	}
-	outB := bigOf32(natOut)
-	diff := new(big.Float).SetPrec(ch.wide).Sub(rLocal, outB)
-	local := fracUlps32(diff, natOut)
-	rel := relErr(diff, rLocal)
-
-	rShadow := rLocal
-	if p.shA[0] != nil || p.shB[0] != nil || (fma && p.shC[0] != nil) {
-		rShadow, ok = eval(info, coalesce(p.shA[0], aN), coalesce(p.shB[0], bN), coalesce(p.shC[0], cN), ch.wide)
-		if !ok {
-			return laneResult{class: SampleNonFinite}
-		}
-	}
-	sh := roundShadow32(rShadow, ch.prec)
-	if sh.IsInf() {
-		return laneResult{class: SampleNonFinite}
-	}
-	total := fracUlps32(new(big.Float).SetPrec(ch.wide).Sub(sh, outB), natOut)
-	dist, _ := Dist32(natOut, nativeBits32(sh))
-	class := SampleExact
-	if dist > 0 {
-		class = SampleDiverged
-	} else if local > 0 {
-		class = SampleRounded
-	}
-	return laneResult{class: class, sh: sh, local: local, rel: rel, total: total, dist: dist}
-}
-
-func coalesce(sh, nat *big.Float) *big.Float {
-	if sh != nil {
-		return sh
-	}
-	return nat
 }
 
 // site returns the aggregation row for an instruction address, nil when

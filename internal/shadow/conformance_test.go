@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -18,6 +19,30 @@ import (
 // must agree to the last bit.
 
 var rnEnv = softfloat.Env{RM: softfloat.RoundNearestEven}
+
+// wideArith and wideFMA evaluate at the wide precision, as the local
+// evaluation does; shadowBits64/32 round a wide result through the
+// prec-53/24 shadow path and read back its native bits.
+func wideArith(fp isa.FPOp, a, b *big.Float, wide uint) (*big.Float, bool) {
+	z := new(big.Float).SetPrec(wide)
+	return z, evalArith(z, fp, a, b)
+}
+
+func wideFMA(v isa.FMAVariant, a, b, c *big.Float, wide uint) (*big.Float, bool) {
+	var s scratch
+	z := new(big.Float).SetPrec(wide)
+	return z, s.evalFMA(z, v, a, b, c)
+}
+
+func shadowBits64(r *big.Float) uint64 {
+	var s scratch
+	return math.Float64bits(s.float64Of(s.roundShadow(r, false, 53), 0))
+}
+
+func shadowBits32(r *big.Float) uint32 {
+	var s scratch
+	return math.Float32bits(s.float32Of(s.roundShadow(r, true, 24)))
+}
 
 // corpus64 mixes the boundary patterns (zeros, denormals, powers of two,
 // overflow fringe, non-finites to be skipped) with seeded random bit
@@ -93,11 +118,11 @@ func TestConformance64Arith(t *testing.T) {
 				if !finite64(a) || !finite64(b) || !finite64(want) {
 					continue // policy: skipped, never shadow-executed
 				}
-				r, ok := evalArith(op.fp, bigOf64(a), bigOf64(b), wide)
+				r, ok := wideArith(op.fp, bigOf64(a), bigOf64(b), wide)
 				if !ok {
 					t.Fatalf("%s(%#x,%#x): eval refused a finite-result op", op.name, a, b)
 				}
-				got := nativeBits64(roundShadow64(r, 53))
+				got := shadowBits64(r)
 				if got != want {
 					t.Fatalf("%s(%#x,%#x) = %#x, softfloat %#x", op.name, a, b, got, want)
 				}
@@ -119,11 +144,11 @@ func TestConformance64Sqrt(t *testing.T) {
 		if !finite64(a) || !finite64(want) {
 			continue
 		}
-		r, ok := evalArith(isa.FPSqrt, bigOf64(a), zero, wide)
+		r, ok := wideArith(isa.FPSqrt, bigOf64(a), zero, wide)
 		if !ok {
 			t.Fatalf("sqrt(%#x): eval refused a finite-result op", a)
 		}
-		if got := nativeBits64(roundShadow64(r, 53)); got != want {
+		if got := shadowBits64(r); got != want {
 			t.Fatalf("sqrt(%#x) = %#x, softfloat %#x", a, got, want)
 		}
 		compared++
@@ -157,11 +182,11 @@ func TestConformance64FMA(t *testing.T) {
 					if !finite64(a) || !finite64(b) || !finite64(c) || !finite64(want) {
 						continue
 					}
-					r, ok := evalFMA(v.v, bigOf64(a), bigOf64(b), bigOf64(c), wide)
+					r, ok := wideFMA(v.v, bigOf64(a), bigOf64(b), bigOf64(c), wide)
 					if !ok {
 						t.Fatalf("%s(%#x,%#x,%#x): eval refused", v.name, a, b, c)
 					}
-					got := nativeBits64(roundShadow64(r, 53))
+					got := shadowBits64(r)
 					if got != want {
 						t.Fatalf("%s(%#x,%#x,%#x) = %#x, softfloat %#x", v.name, a, b, c, got, want)
 					}
@@ -198,11 +223,11 @@ func TestConformance32Arith(t *testing.T) {
 				if !finite32(a) || !finite32(b) || !finite32(want) {
 					continue
 				}
-				r, ok := evalArith(op.fp, bigOf32(a), bigOf32(b), wide)
+				r, ok := wideArith(op.fp, bigOf32(a), bigOf32(b), wide)
 				if !ok {
 					t.Fatalf("%s(%#x,%#x): eval refused a finite-result op", op.name, a, b)
 				}
-				got := nativeBits32(roundShadow32(r, 24))
+				got := shadowBits32(r)
 				if got != want {
 					t.Fatalf("%s(%#x,%#x) = %#x, softfloat %#x", op.name, a, b, got, want)
 				}
@@ -226,11 +251,11 @@ func TestConformance32FMA(t *testing.T) {
 				if !finite32(a) || !finite32(b) || !finite32(c) || !finite32(want) {
 					continue
 				}
-				r, ok := evalFMA(isa.FMAdd, bigOf32(a), bigOf32(b), bigOf32(c), wide)
+				r, ok := wideFMA(isa.FMAdd, bigOf32(a), bigOf32(b), bigOf32(c), wide)
 				if !ok {
 					t.Fatalf("fmadd(%#x,%#x,%#x): eval refused", a, b, c)
 				}
-				got := nativeBits32(roundShadow32(r, 24))
+				got := shadowBits32(r)
 				if got != want {
 					t.Fatalf("fmadd(%#x,%#x,%#x) = %#x, softfloat %#x", a, b, c, got, want)
 				}

@@ -1,10 +1,10 @@
 // Package shadow implements the shadow-precision value channel behind
-// the root-cause attribution study (ROADMAP item 1, the paper's Section
-// 6/7 mitigation direction): every retired floating point instruction
-// carries its native (softfloat) result alongside a math/big.Float
-// result computed at a configurable higher precision, and the
-// divergence between the two is attributed to the instruction site that
-// introduced it, Herbgrind-style.
+// the root-cause attribution study (the paper's Section 6/7 mitigation
+// direction): every retired floating point instruction carries its
+// native (softfloat) result alongside a math/big.Float result computed
+// at a configurable higher precision, and the divergence between the
+// two is attributed to the instruction site that introduced it,
+// Herbgrind-style.
 //
 // The channel is a pure observer. It registers as the machine's
 // ShadowSink and reads architectural state before execution (PreStep)
@@ -26,9 +26,8 @@
 // exactly 0 for an exact one. Summed over a site's dynamic executions
 // this is the total rounding the site injected, which is what the
 // RootCauseReport ranks. The integer ULP distance (Dist64/Dist32) is
-// used where whole-result divergence is the question: the max-ULP
-// per-site statistic, the observability histogram, and the mitigation
-// executor's headline metric.
+// used where whole-result divergence is the question: the Diverged and
+// max-ULP per-site statistics and the observability histogram.
 //
 // Environment policy. Shadow arithmetic is round-to-nearest-even with
 // an unbounded exponent (except at prec 53/24, where results are

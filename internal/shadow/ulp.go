@@ -1,13 +1,8 @@
 package shadow
 
-import (
-	"math"
-	"math/big"
-)
-
 // ULP distance on the monotone integer lattice of floating point bit
-// patterns. Policy (the fix for mitigate's old MaxRelError, which was
-// undefined at 0.0 and non-finite values):
+// patterns. Policy (defined everywhere, unlike a relative error, which is
+// undefined at 0.0 and at non-finite values):
 //
 //   - Finite values, including denormals, sit on an ordinal line where
 //     adjacent representable values are distance 1 apart. The line is
@@ -102,53 +97,7 @@ func ulpExp32(b uint32) int {
 	return e - 150
 }
 
-// fracUlpCap bounds a single fractional-ULP sample so a pathological
-// divergence (denormal native vs astronomically drifted shadow) cannot
-// poison a site's running sums with Inf.
+// fracUlpCap bounds a single fractional-ULP or relative error sample so
+// a pathological divergence (denormal native vs astronomically drifted
+// shadow) cannot poison a site's running sums with Inf.
 const fracUlpCap = 1e18
-
-// fracUlps64 measures |diff| in units of ulp(out), where out is the
-// finite native result the difference is taken against. The result is
-// exact 0 for a zero difference and ≤ 0.5 for any single correctly
-// rounded operation.
-func fracUlps64(diff *big.Float, out uint64) float64 {
-	if diff.Sign() == 0 {
-		return 0
-	}
-	scaled := new(big.Float).SetMantExp(diff, -ulpExp64(out))
-	f, _ := scaled.Float64()
-	f = math.Abs(f)
-	if f > fracUlpCap {
-		return fracUlpCap
-	}
-	return f
-}
-
-func fracUlps32(diff *big.Float, out uint32) float64 {
-	if diff.Sign() == 0 {
-		return 0
-	}
-	scaled := new(big.Float).SetMantExp(diff, -ulpExp32(out))
-	f, _ := scaled.Float64()
-	f = math.Abs(f)
-	if f > fracUlpCap {
-		return fracUlpCap
-	}
-	return f
-}
-
-// relErr returns |exact−native| / |exact| as a float64, 0 when the
-// exact result is zero (the native result of an exactly-zero real is
-// ±0, so there is no error to normalize).
-func relErr(diff, exact *big.Float) float64 {
-	if exact.Sign() == 0 || diff.Sign() == 0 {
-		return 0
-	}
-	q := new(big.Float).Quo(diff, exact)
-	f, _ := q.Float64()
-	f = math.Abs(f)
-	if f > fracUlpCap {
-		return fracUlpCap
-	}
-	return f
-}

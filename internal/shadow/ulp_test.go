@@ -105,47 +105,49 @@ func TestDist32Boundaries(t *testing.T) {
 }
 
 func TestFracUlps64(t *testing.T) {
+	var s scratch
 	wide := widePrec(53)
 	diffOf := func(exact, native float64) *big.Float {
 		a := new(big.Float).SetPrec(wide).SetFloat64(exact)
 		return a.Sub(a, new(big.Float).SetFloat64(native))
 	}
 	// Zero difference is exactly zero error.
-	if got := fracUlps64(diffOf(1.0, 1.0), math.Float64bits(1.0)); got != 0 {
+	if got := s.fracUlps(diffOf(1.0, 1.0), ulpExp64(math.Float64bits(1.0))); got != 0 {
 		t.Errorf("zero diff = %v", got)
 	}
 	// ulp(1.0) = 2^-52: a half-ulp difference is exactly 0.5.
 	half := new(big.Float).SetMantExp(big.NewFloat(1), -53)
-	if got := fracUlps64(half, math.Float64bits(1.0)); got != 0.5 {
+	if got := s.fracUlps(half, ulpExp64(math.Float64bits(1.0))); got != 0.5 {
 		t.Errorf("half-ulp at 1.0 = %v, want 0.5", got)
 	}
 	// In the denormal range the quantum is 2^-1074, for zeros too.
 	den := new(big.Float).SetMantExp(big.NewFloat(1), -1075)
-	if got := fracUlps64(den, minDen64); got != 0.5 {
+	if got := s.fracUlps(den, ulpExp64(minDen64)); got != 0.5 {
 		t.Errorf("half-quantum at minDen = %v, want 0.5", got)
 	}
-	if got := fracUlps64(den, pzero64); got != 0.5 {
+	if got := s.fracUlps(den, ulpExp64(pzero64)); got != 0.5 {
 		t.Errorf("half-quantum at +0 = %v, want 0.5", got)
 	}
 	// A pathological divergence saturates at the cap instead of Inf.
 	huge := new(big.Float).SetFloat64(1e300)
-	if got := fracUlps64(huge, minDen64); got != fracUlpCap {
+	if got := s.fracUlps(huge, ulpExp64(minDen64)); got != fracUlpCap {
 		t.Errorf("capped sample = %v, want %v", got, fracUlpCap)
 	}
 }
 
 func TestFracUlps32(t *testing.T) {
+	var s scratch
 	one := math.Float32bits(1.0)
 	// ulp(1.0f) = 2^-23.
 	half := new(big.Float).SetMantExp(big.NewFloat(1), -24)
-	if got := fracUlps32(half, one); got != 0.5 {
+	if got := s.fracUlps(half, ulpExp32(one)); got != 0.5 {
 		t.Errorf("half-ulp at 1.0f = %v, want 0.5", got)
 	}
 	den := new(big.Float).SetMantExp(big.NewFloat(1), -150)
-	if got := fracUlps32(den, 1); got != 0.5 {
+	if got := s.fracUlps(den, ulpExp32(1)); got != 0.5 {
 		t.Errorf("half-quantum at minDen32 = %v, want 0.5", got)
 	}
-	if got := fracUlps32(new(big.Float).SetFloat64(1e30), 1); got != fracUlpCap {
+	if got := s.fracUlps(new(big.Float).SetFloat64(1e30), ulpExp32(1)); got != fracUlpCap {
 		t.Errorf("capped sample = %v, want %v", got, fracUlpCap)
 	}
 }
